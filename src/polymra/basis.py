@@ -4,12 +4,13 @@ One refinement step in 1D doubles the piecewise-polynomial space; the new
 orthogonal complement has dimension degree+1 and is spanned by wavelet-like
 functions, each a pair of polynomials on (0,1/2) and (1/2,1) with vanishing
 moments up to the degree. Tensor products with either wavelet or scaling
-factors per axis give the multivariate detail bases.
+factors per axis give the multivariate detail bases; detail_cells and
+detail_dim fix the layout of their coefficient blocks.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,10 +22,9 @@ __all__ = [
     "ScalingPoly",
     "HalfCellPoly",
     "WaveletBasis1D",
-    "DetailBasis",
     "scaling_basis_1d",
     "wavelet_basis_1d",
-    "detail_basis",
+    "detail_cells",
     "detail_dim",
 ]
 
@@ -133,68 +133,21 @@ def wavelet_basis_1d(degree: int) -> WaveletBasis1D:
     return WaveletBasis1D(degree=l, functions=tuple(funcs))
 
 
-@dataclass(frozen=True)
-class DetailBasis:
-    """Tensor basis of one multivariate detail space at the coarsest scale.
-
-    Axes in `directions` carry wavelet factors, the rest carry scaling
-    factors; with empty `directions` this is the root scaling basis.
-    """
-
-    d: int
-    directions: frozenset[int]
-    degrees: tuple[int, ...]
-    factors: tuple[tuple, ...]  # per axis: tuple of 1D callables
-
-    @property
-    def count(self) -> int:
-        out = 1
-        for fs in self.factors:
-            out *= len(fs)
-        return out
-
-    def index_tuples(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(len(fs)) for fs in self.factors)))
-
-    def values(self, index: Sequence[int], axis_points: Sequence[np.ndarray]) -> np.ndarray:
-        """Tensor values of one basis function on a product point set."""
-        if len(index) != self.d or len(axis_points) != self.d:
-            raise ValueError("index and point axes must match the dimension")
-        out = np.asarray(self.factors[0][index[0]](axis_points[0]), dtype=float)
-        for j in range(1, self.d):
-            vj = np.asarray(self.factors[j][index[j]](axis_points[j]), dtype=float)
-            out = np.multiply.outer(out, vj)
-        return out
-
-
-def detail_basis(directions, degrees: Sequence[int]) -> DetailBasis:
-    """Tensor detail basis: wavelet factors on the given axes, scaling elsewhere."""
-    degs = tuple(int(l) for l in degrees)
-    if any(l < 0 for l in degs):
-        raise ValueError(f"degrees must be >= 0, got {degs}")
-    d = len(degs)
-    dirs = frozenset(int(j) for j in directions)
-    if any(j < 0 or j >= d for j in dirs):
-        raise ValueError(f"direction axes {sorted(dirs)} outside 0..{d - 1}")
-    factors = []
-    for j in range(d):
-        if j in dirs:
-            factors.append(tuple(wavelet_basis_1d(degs[j]).functions))
-        else:
-            factors.append(tuple(scaling_basis_1d(degs[j])))
-    return DetailBasis(d=d, directions=dirs, degrees=degs, factors=tuple(factors))
+def detail_cells(kappa: Sequence[int]) -> tuple[int, ...]:
+    """Cells per axis of the detail block at a multi-level: 2^max(kappa_j - 1, 0)."""
+    return tuple(2 ** max(int(k) - 1, 0) for k in kappa)
 
 
 def detail_dim(kappa: Sequence[int], degrees: Sequence[int]) -> int:
-    """Dimension of the detail space at a multi-level: root count times cell count."""
+    """Dimension of the detail space at a multi-level: root count times cell count.
+
+    The root count prod(l_j + 1) is the number of basis functions per cell,
+    the detail dimension at kappa = 0.
+    """
     kappa = tuple(int(k) for k in kappa)
     degs = tuple(int(l) for l in degrees)
     if len(kappa) != len(degs):
         raise ValueError("kappa and degrees must have the same length")
     if any(k < 0 for k in kappa) or any(l < 0 for l in degs):
         raise ValueError("kappa and degrees must be >= 0")
-    root = 1
-    for l in degs:
-        root *= l + 1
-    shift = sum(max(k - 1, 0) for k in kappa)
-    return root * 2 ** shift
+    return math.prod(l + 1 for l in degs) * math.prod(detail_cells(kappa))

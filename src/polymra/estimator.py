@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .basis import detail_cells, detail_dim
 from .grid import grid_for
 from .projectors import Decomposition, DetailCoeffs, analyze, resolve_index_set, synthesize
 
@@ -85,13 +86,10 @@ class MultiwaveletTransform:
         descriptor, kappas = resolve_index_set(index_set, grid.d)
         self.index_ = descriptor
         self.kappas_ = sorted(kappas)
-        root = 1
-        for l in self.degrees_:
-            root *= l + 1
         self.block_slices_ = {}
         start = 0
         for kappa in self.kappas_:
-            size = root * 2 ** sum(max(k - 1, 0) for k in kappa)
+            size = detail_dim(kappa, self.degrees_)
             self.block_slices_[kappa] = slice(start, start + size)
             start += size
         self.n_components_ = start
@@ -122,15 +120,11 @@ class MultiwaveletTransform:
     def inverse_transform(self, C) -> np.ndarray:
         self._require_fitted()
         C = check_sample_matrix(C, self.n_components_)
-        root = 1
-        for l in self.degrees_:
-            root *= l + 1
         out = np.empty((C.shape[0], self.n_features_in_))
         for row, sample in enumerate(C):
             blocks = {}
             for kappa in self.kappas_:
-                cells = tuple(2 ** max(k - 1, 0) for k in kappa)
-                coeffs = sample[self.block_slices_[kappa]].reshape(cells + (root,))
+                coeffs = sample[self.block_slices_[kappa]].reshape(detail_cells(kappa) + (-1,))
                 blocks[kappa] = DetailCoeffs(
                     kappa=kappa, degrees=self.degrees_, coeffs=coeffs
                 )

@@ -2,9 +2,22 @@
 
 Cube geometry uses exact dyadic rationals (integer position, power-of-two
 denominator), so nesting and distance comparisons never suffer float ties.
-Hyperbolic-cross membership with irrational weights uses a 1e-12 relative
-tolerance with ties included; the admissible weight sets are open, so tie
-handling cannot change any asymptotics.
+
+Hyperbolic-cross membership (kappa, beta) <= r includes ties. The radius r
+is exact (an integer or a dyadic number such as 2.5); a float weight stands
+for every real that rounds to it. kappa is inside when (kappa, lo) <= r
+holds exactly, lo_j being the smallest real that rounds to beta_j, so an
+exact tie survives the rounding of its weights (5 * 0.4 <= 2 although
+float(0.4) > 2/5) and any larger excess is left out. The float sum w
+decides wherever it lies farther from r than its rounding bound
+(d + 1) 2^-52 w; inside that band the comparison is redone exactly. Two
+weights that round to the same float cannot be told apart by any rule.
+enum_cross, enum_shell, counting_ratios and the widths module all use this
+rule.
+
+Which slots of a smoothness vector attain its minimum is decided with a
+1e-12 relative tolerance (minimal_slots); the admissible weight sets are
+open, so this tie handling cannot change any asymptotics.
 """
 
 from __future__ import annotations
@@ -26,14 +39,13 @@ __all__ = [
     "cross_contains",
     "counting_ratios",
     "support",
-    "weighted_sum",
-    "min_exponent",
-    "max_exponent",
+    "minimal_slots",
     "min_multiplicity",
     "max_multiplicity",
 ]
 
 _REL_TOL = 1e-12
+_EPS = 2.0 ** -52
 
 
 def support(kappa: Sequence[int]) -> frozenset[int]:
@@ -41,23 +53,16 @@ def support(kappa: Sequence[int]) -> frozenset[int]:
     return frozenset(j for j, k in enumerate(kappa) if k != 0)
 
 
-def weighted_sum(kappa: Sequence[int], beta: Sequence[float]) -> float:
-    return float(sum(k * b for k, b in zip(kappa, beta)))
-
-
-def min_exponent(x: Sequence[float]) -> float:
-    return float(min(x))
-
-
-def max_exponent(x: Sequence[float]) -> float:
-    return float(max(x))
+def minimal_slots(x: Sequence[float]) -> list[int]:
+    """Positions of the entries that attain the minimum (relative tolerance 1e-12)."""
+    m = min(x)
+    tol = _REL_TOL * max(1.0, abs(m))
+    return [j for j, v in enumerate(x) if v <= m + tol]
 
 
 def min_multiplicity(x: Sequence[float]) -> int:
     """How many entries attain the minimum (relative tolerance 1e-12)."""
-    m = min(x)
-    tol = _REL_TOL * max(1.0, abs(m))
-    return sum(1 for v in x if v <= m + tol)
+    return len(minimal_slots(x))
 
 
 def max_multiplicity(x: Sequence[float]) -> int:
@@ -148,9 +153,38 @@ def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(int(x) + 1) for x in k)))
 
 
+def _near(w, r: float, d: int):
+    """Whether the float weighted sum w (or an array of them) is too close to r to decide."""
+    return abs(w - r) <= (d + 1) * _EPS * w
+
+
+def _exactly_inside(kappa: Sequence[int], beta: Sequence[float], r: float) -> bool:
+    """(kappa, lo) <= r in exact arithmetic, lo_j the smallest real rounding to beta_j.
+
+    2 lo_j is beta_j plus its lower float neighbour, and k beta_j is a sum of
+    power-of-two multiples of beta_j, so every term below is an exact float
+    and fsum's correctly rounded total has the sign of the exact one.
+    """
+    terms = [-2.0 * r]
+    for k, b in zip(kappa, beta):
+        lower = math.nextafter(b, 0.0)
+        j = 0
+        while k:
+            if k & 1:
+                terms += (math.ldexp(b, j), math.ldexp(lower, j))
+            k >>= 1
+            j += 1
+    return math.fsum(terms) <= 0.0
+
+
 def cross_contains(kappa: Sequence[int], beta: Sequence[float], r: float) -> bool:
-    """Membership in the hyperbolic cross (kappa, beta) <= r, ties included."""
-    return weighted_sum(kappa, beta) <= r + _REL_TOL * max(1.0, abs(r))
+    """Membership in the hyperbolic cross (kappa, beta) <= r, ties included; kappa >= 0."""
+    if min(kappa) < 0:
+        raise ValueError(f"multi-level entries must be >= 0, got {tuple(kappa)}")
+    w = float(sum(k * b for k, b in zip(kappa, beta)))
+    if _near(w, r, len(beta)):
+        return _exactly_inside(kappa, beta, r)
+    return w < r
 
 
 def enum_cross(beta: Sequence[float], r: float) -> list[tuple[int, ...]]:
@@ -196,9 +230,9 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     if any(b <= 0 for b in beta) or any(a <= 0 for a in alpha):
         raise ValueError("alpha and beta must be strictly positive")
     ratio_vec = tuple(a / b for a, b in zip(alpha, beta))
-    big = max_exponent(ratio_vec)
+    big = max(ratio_vec)
     big_mult = max_multiplicity(ratio_vec)
-    small = min_exponent(ratio_vec)
+    small = min(ratio_vec)
     small_mult = min_multiplicity(ratio_vec)
     if big <= 0:
         raise ValueError("growth model needs a positive maximal exponent")
@@ -217,7 +251,9 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     walpha = lattice @ np.asarray(alpha)
     rows = []
     for r in range(1, r_max + 1):
-        inside = wbeta <= r + _REL_TOL * max(1.0, r)
+        inside = wbeta < r
+        for i in np.flatnonzero(_near(wbeta, r, len(beta))):
+            inside[i] = _exactly_inside(lattice[i].tolist(), beta, r)
         grow = float(np.sum(np.exp2(walpha[inside])))
         grow_model = float(2.0 ** (big * r) * r ** (big_mult - 1))
         tail = float(np.sum(np.exp2(-walpha[~inside])))

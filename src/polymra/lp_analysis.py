@@ -102,12 +102,34 @@ def detail_components(dec: Decomposition) -> dict[tuple[int, ...], GridFunction]
     return out
 
 
+def _root_sum_squares(grid: Grid, parts) -> GridFunction:
+    acc = np.zeros(grid.shape)
+    for part in parts:
+        acc += part.values ** 2
+    return GridFunction(grid, np.sqrt(acc))
+
+
 def square_function(dec: Decomposition) -> GridFunction:
     """Pointwise l2 norm across blocks: sqrt(sum_kappa (detail_kappa(x))^2)."""
-    acc = np.zeros(dec.grid.shape)
-    for part in detail_components(dec).values():
-        acc += part.values ** 2
-    return GridFunction(dec.grid, np.sqrt(acc))
+    return _root_sum_squares(dec.grid, detail_components(dec).values())
+
+
+def _norm_ratios(dec: Decomposition, p: float) -> tuple[float, float, float]:
+    """(||f_k||_p, square-function ratio, p*-aggregate ratio) of one decomposition.
+
+    f_k is the synthesized decomposition; the square-function ratio is
+    ||S f_k||_p / ||f_k||_p and the p*-aggregate ratio is
+    ||f_k||_p / (sum_kappa ||detail_kappa||_p^(p*))^(1/p*) with p* = min(2, p).
+    Every detail component is synthesized once and feeds both ratios.
+    """
+    parts = detail_components(dec)
+    norm_p = lp_norm(synthesize(dec), p)
+    pstar = min(2.0, p)
+    agg = sum(lp_norm(g, p) ** pstar for g in parts.values()) ** (1.0 / pstar)
+    if norm_p == 0.0 or agg == 0.0:
+        raise ValueError("zero function has no norm ratio")
+    square = lp_norm(_root_sum_squares(dec.grid, parts.values()), p) / norm_p
+    return norm_p, square, norm_p / agg
 
 
 def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
@@ -117,12 +139,7 @@ def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
     in the resolved space; at p=2 the ratio is identically 1.
     """
     p = _check_p_open(p)
-    dec = analyze(f, ("box", k), degrees)
-    resolved = synthesize(dec)
-    denom = lp_norm(resolved, p)
-    if denom == 0.0:
-        raise ValueError("zero function has no norm ratio")
-    return lp_norm(square_function(dec), p) / denom
+    return _norm_ratios(analyze(f, ("box", k), degrees), p)[1]
 
 
 def _signed(dec: Decomposition, signs) -> Decomposition:
@@ -160,13 +177,7 @@ def pstar_ratio(f: GridFunction, p: float, k, degrees) -> float:
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must lie in [1, infinity), got {p}")
-    pstar = min(2.0, p)
-    dec = analyze(f, ("box", k), degrees)
-    parts = detail_components(dec)
-    agg = sum(lp_norm(g, p) ** pstar for g in parts.values()) ** (1.0 / pstar)
-    if agg == 0.0:
-        raise ValueError("zero function has no norm ratio")
-    return lp_norm(synthesize(dec), p) / agg
+    return _norm_ratios(analyze(f, ("box", k), degrees), p)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +298,10 @@ def lp_report(
     sign_trials: int = 10,
     seed: int = 0,
 ) -> LPReport:
-    """Ratio statistics over a random ensemble of resolved functions."""
+    """Ratio statistics over a random ensemble of resolved functions, 1 < p < infinity."""
     from .grid import _as_tuple
 
+    p = _check_p_open(p)
     k = _as_tuple(k, grid.d, "k")
     degs = _as_tuple(degrees, grid.d, "degrees")
     if trials < 1:
@@ -299,19 +311,15 @@ def lp_report(
     for _ in range(trials):
         f = random_resolved(grid, k, degs, rng)
         dec = analyze(f, ("box", k), degs)
-        resolved = synthesize(dec)
-        norm_p = lp_norm(resolved, p)
-        square_vals.append(lp_norm(square_function(dec), p) / norm_p)
-        parts = detail_components(dec)
-        pstar = min(2.0, p)
-        agg = sum(lp_norm(g, p) ** pstar for g in parts.values()) ** (1.0 / pstar)
-        pstar_vals.append(norm_p / agg)
+        norm_p, square, pstar = _norm_ratios(dec, p)
+        square_vals.append(square)
+        pstar_vals.append(pstar)
         for _ in range(sign_trials):
             fam = SignFamily.random(k, rng)
             signed = synthesize(_signed(dec, fam))
             sign_vals.append(lp_norm(signed, p) / norm_p)
     return LPReport(
-        p=float(p),
+        p=p,
         k=k,
         degrees=degs,
         trials=trials,

@@ -1,25 +1,26 @@
 """Level and detail orthoprojectors and the multiwavelet analysis/synthesis transform.
 
-Per-axis operators are dense matrices acting on the grid's axis nodes, built
-once per (grid, axis, degree) and cached on the grid. The multivariate
-projectors are tensor products of the 1D ones; the full transform applies one
-square per-axis matrix along each axis, after which every detail block is a
-slice of the coefficient tensor. Two structurally different routes to the
-detail projector (inclusion-exclusion over level projectors, and wavelet
-analysis/synthesis) are kept so tests can cross-check them.
+Level projections contract each axis with the orthonormal scaling tables of
+one dyadic cell. The full transform uses one dense matrix per axis whose
+columns are all wavelets of levels 0..K at the axis nodes, built once per
+(grid, axis, degree) and cached on the grid: synthesis applies it along
+each axis, analysis applies its weighted transpose, and every detail block
+is a slice of the coefficient tensor. project_detail forms one detail
+projection from level projections by inclusion-exclusion. The dense
+per-axis projector matrices that cross-check both routes are test oracles,
+not library code.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import scaling_basis_1d, wavelet_basis_1d
-from .grid import Grid, GridFunction, LocalPoly, _as_tuple
-from .indexing import DyadicCube, enum_box, enum_cross, support
+from .basis import detail_cells, detail_dim, scaling_basis_1d, wavelet_basis_1d
+from .grid import Grid, GridFunction, _as_tuple
+from .indexing import enum_box, enum_cross, support
 
 __all__ = [
     "PiecewisePoly",
@@ -32,8 +33,6 @@ __all__ = [
     "synthesize",
     "parseval_gap",
     "apply_axis",
-    "level_operator_1d",
-    "detail_operator_1d",
     "save_decomposition",
     "load_decomposition",
 ]
@@ -87,31 +86,6 @@ def _wavelet_block(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
     return grid._cache[key]
 
 
-def _axis_level_matrix(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
-    """Matrix of the 1D level-m projector on the axis nodes, (M, M)."""
-    key = ("lev", axis, m, degree)
-    if key not in grid._cache:
-        b = _scaling_block(grid, axis, m, degree)
-        w = _cell_weights(grid, axis, m)
-        block = b @ (b.T * w)
-        grid._cache[key] = np.kron(np.eye(2 ** m), block)
-    return grid._cache[key]
-
-
-def _axis_detail_matrix(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
-    """Matrix of the 1D detail projector at level m (level-m minus level-(m-1))."""
-    key = ("det", axis, m, degree)
-    if key not in grid._cache:
-        if m == 0:
-            out = _axis_level_matrix(grid, axis, 0, degree)
-        else:
-            out = _axis_level_matrix(grid, axis, m, degree) - _axis_level_matrix(
-                grid, axis, m - 1, degree
-            )
-        grid._cache[key] = out
-    return grid._cache[key]
-
-
 def _axis_synthesis(grid: Grid, axis: int, degree: int) -> np.ndarray:
     """All wavelet functions on the axis as columns, levels 0..K stacked.
 
@@ -159,11 +133,6 @@ class PiecewisePoly:
     level: tuple[int, ...]
     degrees: tuple[int, ...]
     coeffs: np.ndarray
-
-    def cell_poly(self, nu: Sequence[int]) -> LocalPoly:
-        nu = tuple(int(v) for v in nu)
-        cube = DyadicCube(level=self.level, pos=nu)
-        return LocalPoly(cube=cube, degrees=self.degrees, coeffs=self.coeffs[nu].copy())
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -322,15 +291,14 @@ def _full_coeffs(f: GridFunction, degrees: tuple[int, ...]) -> np.ndarray:
 def _extract_block(full: np.ndarray, kappa, degrees) -> np.ndarray:
     d = len(kappa)
     sub = full[tuple(_block_range(degrees[j], kappa[j]) for j in range(d))]
+    cells = detail_cells(kappa)
     inter = []
     for j in range(d):
-        inter.extend((2 ** max(kappa[j] - 1, 0), degrees[j] + 1))
+        inter.extend((cells[j], degrees[j] + 1))
     sub = sub.reshape(inter)
     order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
     sub = np.transpose(sub, order)
-    cells = sub.shape[:d]
-    root = int(np.prod(sub.shape[d:]))
-    return np.ascontiguousarray(sub.reshape(cells + (root,)))
+    return np.ascontiguousarray(sub.reshape(cells + (-1,)))
 
 
 def _insert_block(full: np.ndarray, block: DetailCoeffs) -> None:
@@ -421,24 +389,6 @@ def apply_axis(op_1d, axis: int, f: GridFunction) -> GridFunction:
     )
 
 
-def level_operator_1d(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
-    """Dense matrix of the 1D level-m projector on the grid's axis nodes."""
-    if not 0 <= axis < grid.d:
-        raise ValueError(f"axis {axis} outside 0..{grid.d - 1}")
-    if not 0 <= m <= grid.level:
-        raise ValueError(f"level {m} outside grid resolution 0..{grid.level}")
-    return _axis_level_matrix(grid, axis, m, degree)
-
-
-def detail_operator_1d(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
-    """Dense matrix of the 1D detail projector at level m."""
-    if not 0 <= axis < grid.d:
-        raise ValueError(f"axis {axis} outside 0..{grid.d - 1}")
-    if not 0 <= m <= grid.level:
-        raise ValueError(f"level {m} outside grid resolution 0..{grid.level}")
-    return _axis_detail_matrix(grid, axis, m, degree)
-
-
 # ---------------------------------------------------------------------------
 # serialization: flat (kappa, cell, index, value) records, exact round trip
 
@@ -497,9 +447,12 @@ def load_decomposition(path) -> Decomposition:
         body_start += 1
         if parts:
             header[parts[0]] = parts[1:]
+    missing = [key for key in ("grid", "degrees", "index") if not header.get(key)]
+    if missing:
+        raise ValueError(f"decomposition header lacks {', '.join(missing)}")
     d, level, nodes = header["grid"]
     grid = Grid(int(d), int(level), tuple(int(v) for v in nodes.split(",")))
-    degrees = tuple(int(v) for v in header["degrees"][0].split(","))
+    degrees = _as_tuple(header["degrees"][0].split(","), grid.d, "degrees")
     idx = header["index"]
     if idx[0] == "box":
         descriptor = ("box", tuple(int(v) for v in idx[1].split(",")))
@@ -511,24 +464,30 @@ def load_decomposition(path) -> Decomposition:
         )
     else:
         descriptor = None  # rebuilt from the blocks below
-    root = 1
-    for l in degrees:
-        root *= l + 1
-    raw: dict[tuple[int, ...], dict] = {}
+    root = detail_dim((0,) * grid.d, degrees)  # basis functions per cell
+    coeffs: dict[tuple[int, ...], np.ndarray] = {}
+    seen = set()
     for line in lines[body_start:]:
         if not line.strip():
             continue
         _, kap, rho_s, i_s, val = line.split()
-        kappa = tuple(int(v) for v in kap.split(","))
-        rho = tuple(int(v) for v in rho_s.split(",")) if rho_s else ()
-        raw.setdefault(kappa, {})[(rho, int(i_s))] = float.fromhex(val)
-    blocks = {}
-    for kappa, entries in raw.items():
-        cells = tuple(2 ** max(k - 1, 0) for k in kappa)
-        coeffs = np.zeros(cells + (root,))
-        for (rho, i), value in entries.items():
-            coeffs[rho + (i,)] = value
-        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=degrees, coeffs=coeffs)
+        kappa = _check_levels(grid, kap.split(","))
+        cells = detail_cells(kappa)
+        rho = _as_tuple(rho_s.split(","), grid.d, "cell")
+        i = int(i_s)
+        if not all(0 <= v < c for v, c in zip(rho, cells)):
+            raise ValueError(f"cell {rho} outside the {cells} cells of block {kappa}")
+        if not 0 <= i < root:
+            raise ValueError(f"basis index {i} outside 0..{root - 1}")
+        if (kappa, rho, i) in seen:
+            raise ValueError(f"duplicate record for block {kappa}, cell {rho}, index {i}")
+        seen.add((kappa, rho, i))
+        if kappa not in coeffs:
+            coeffs[kappa] = np.zeros(cells + (root,))
+        coeffs[kappa][rho + (i,)] = float.fromhex(val)
+    blocks = {
+        kappa: DetailCoeffs(kappa=kappa, degrees=degrees, coeffs=c) for kappa, c in coeffs.items()
+    }
     if descriptor is None:
         descriptor = ("custom", tuple(sorted(blocks)))
     return Decomposition(grid=grid, degrees=degrees, index_set=descriptor, blocks=blocks)

@@ -18,7 +18,14 @@ import numpy as np
 
 from .basis import detail_dim
 from .grid import GridFunction, lp_norm
-from .indexing import cross_contains, enum_box, enum_cross, enum_shell, min_multiplicity
+from .indexing import (
+    cross_contains,
+    enum_box,
+    enum_cross,
+    enum_shell,
+    min_multiplicity,
+    minimal_slots,
+)
 from .projectors import Decomposition, analyze, synthesize
 from .smoothness import SmoothnessParams, synthesize_extremal
 
@@ -34,8 +41,6 @@ __all__ = [
     "width_experiment",
     "rate_fit",
 ]
-
-_REL_TOL = 1e-12
 
 
 def _inv(q: float) -> float:
@@ -58,27 +63,19 @@ def choose_beta(params: SmoothnessParams, q: float) -> tuple[float, ...]:
         raise ValueError(
             f"effective smoothness must stay positive, min(alpha) - (1/p - 1/q)_+ = {m}"
         )
-    lo = min(alpha)
-    beta = []
-    for a, sh in zip(alpha, shifted):
-        if a <= lo * (1.0 + _REL_TOL):
-            beta.append(1.0)
-        else:
-            beta.append((1.0 + sh / m) / 2.0)
-    return tuple(beta)
+    minimal = minimal_slots(alpha)
+    return tuple(
+        1.0 if j in minimal else (1.0 + sh / m) / 2.0 for j, sh in enumerate(shifted)
+    )
 
 
-def _infer_degrees(grid) -> tuple[int, ...]:
-    # grids are built with 2*degree + 2 nodes per cell, so this inverts grid_for
-    return tuple(n // 2 - 1 for n in grid.nodes_per_cell)
-
-
-def truncation_error(f: GridFunction, beta, r, q: float, degrees=None) -> tuple[float, int]:
+def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float, int]:
     """L_q error of dropping every block outside the cross, and the cross dimension.
 
-    The error is measured within the resolution of f's grid; the dimension
-    counts the whole cross subspace with no resolution cap, so it can exceed
-    what the grid resolves.
+    The error is measured within the resolution of f's grid, with detail
+    blocks of the given per-axis degrees; the dimension counts the whole
+    cross subspace with no resolution cap, so it can exceed what the grid
+    resolves.
     """
     grid = f.grid
     beta = tuple(float(b) for b in beta)
@@ -86,7 +83,7 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees=None) -> tuple[
         raise ValueError(f"beta must have length {grid.d}, got {beta}")
     if r < 1:
         raise ValueError(f"cross radius must be >= 1, got {r}")
-    degrees = _infer_degrees(grid) if degrees is None else tuple(int(x) for x in degrees)
+    degrees = tuple(int(x) for x in degrees)
     n = sum(detail_dim(kappa, degrees) for kappa in enum_cross(beta, r))
     dec = analyze(f, ("box", (grid.level,) * grid.d), degrees)
     dropped = {
@@ -169,9 +166,8 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     mu = min(base)
     if mu <= 0.0:
         raise ValueError(f"budget case needs alpha - (1/p + (1/2 - 1/p)_+) > 0, margin {mu}")
-    lo = min(alpha)
-    minimal = [j for j in range(d) if alpha[j] <= lo * (1.0 + _REL_TOL)]
-    others = [j for j in range(d) if alpha[j] > lo * (1.0 + _REL_TOL)]
+    minimal = minimal_slots(alpha)
+    others = [j for j in range(d) if j not in minimal]
     for j in minimal:
         if beta[j] != 1.0:
             raise ValueError(f"beta must equal 1 on minimal slots, got beta[{j}]={beta[j]}")
@@ -186,7 +182,7 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     m_narrow = min(a - max(0.0, _inv(p) - _inv(q)) for a in alpha)
     m_wide = min(a - max(0.0, _inv(p) - 0.5) for a in alpha)
     caps = [1.0 / 3.0, 2.0 * mu]
-    if m_wide > m_narrow * (1.0 + _REL_TOL):
+    if min_multiplicity((m_narrow, m_wide)) == 1:  # m_wide > m_narrow, not a tie
         caps.append(m_narrow / (3.0 * (m_wide - m_narrow)))
     gamma = min(caps) / 2.0
     gamma_prime = min(gamma, 2.0 * epsilon) / 2.0

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from polymra.quadrature import interval_basis_table
+
 
 def cell_averages(f):
     """Averages of a GridFunction over every finest-level cell, shape (2^K,)*d."""
@@ -24,6 +26,33 @@ def cell_averages(f):
         moved = np.moveaxis(out, ax, 0)
         moved = moved.reshape(cells, n, *moved.shape[1:])
         out = np.moveaxis(np.tensordot(moved, w, axes=([1], [0])), 0, ax)
+    return out
+
+
+def level_operator_1d(grid, axis, m, degree):
+    """Dense (M, M) matrix of the 1D level-m projector on the grid's axis nodes.
+
+    Built cell by cell from orthonormal Legendre tables of each level-m
+    interval, locating nodes by coordinate: P[i, j] = sum_k phi_k(x_i)
+    phi_k(x_j) w_j when nodes i and j share a cell, zero otherwise.
+    """
+    xs = grid.axis_nodes[axis]
+    ws = grid.axis_weights[axis]
+    width = 2.0 ** -m
+    cell_of = np.floor(xs / width).astype(int)
+    out = np.zeros((len(xs), len(xs)))
+    for c in range(2 ** m):
+        idx = np.nonzero(cell_of == c)[0]
+        table = interval_basis_table(degree, xs[idx], c * width, width)
+        out[np.ix_(idx, idx)] = table.T @ (table * ws[idx])
+    return out
+
+
+def detail_operator_1d(grid, axis, m, degree):
+    """Dense matrix of the 1D detail projector: level m minus level m-1 (level 0 at m=0)."""
+    out = level_operator_1d(grid, axis, m, degree)
+    if m > 0:
+        out = out - level_operator_1d(grid, axis, m - 1, degree)
     return out
 
 
@@ -87,6 +116,14 @@ def rademacher_sum_lp_brute(arr, p):
     for kj in k:
         vol *= 2.0 ** -(kj + 1)
     return (total * vol) ** (1.0 / p)
+
+
+def rounding_floor(x):
+    """Lower end of the interval of reals that round to the positive float x.
+
+    It is the midpoint between x and its lower float neighbour, as a Fraction.
+    """
+    return (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
 
 
 def cross_enum_fractions(beta, r):

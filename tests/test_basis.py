@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polymra import (
-    detail_basis,
     detail_dim,
     grid_for,
     scaling_basis_1d,
@@ -80,46 +79,6 @@ def test_wavelet_spans_refinement():
     )
     coeff = (rows * ws) @ target
     np.testing.assert_allclose(coeff @ rows, target, atol=1e-12)
-
-
-def test_detail_basis_counts():
-    assert detail_basis([0], (0,)).count == 1
-    assert detail_basis([0], (0, 0)).count == 1
-    assert detail_basis([0, 1], (1, 1)).count == 4
-    assert detail_basis([], (2, 1)).count == 6
-    with pytest.raises(ValueError):
-        detail_basis([2], (0, 0))
-
-
-def test_detail_basis_tensor_values():
-    b = detail_basis([0], (0, 0))
-    x = np.array([0.25, 0.75])
-    vals = b.values((0, 0), [x, x])
-    # Haar along axis 0, constant along axis 1
-    np.testing.assert_allclose(vals, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
-
-
-def test_detail_basis_orthonormal_d2():
-    g = grid_for(2, degree=(1, 1), level=1)
-    b = detail_basis([0, 1], (1, 1))
-    funcs = [
-        b.values(idx, [g.axis_nodes[0], g.axis_nodes[1]]) for idx in b.index_tuples()
-    ]
-    for i, fi in enumerate(funcs):
-        for j, fj in enumerate(funcs):
-            ip = g.integrate(fi * fj)
-            assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-
-
-def test_detail_orthogonal_to_root():
-    g = grid_for(2, degree=(1, 1), level=1)
-    det = detail_basis([0], (1, 1))
-    root = detail_basis([], (1, 1))
-    axes = [g.axis_nodes[0], g.axis_nodes[1]]
-    for idx in det.index_tuples():
-        fi = det.values(idx, axes)
-        for jdx in root.index_tuples():
-            assert abs(g.integrate(fi * root.values(jdx, axes))) < 1e-12
 
 
 def test_detail_dim_values():

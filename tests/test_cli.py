@@ -76,6 +76,13 @@ class TestLpSweep:
         assert float(sq["min"]) == pytest.approx(1.0, abs=1e-10)
         assert float(sq["max"]) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("p", ["1", "inf"])
+    def test_p_outside_the_open_range_rejected(self, capsys, p):
+        # the square-function equivalence holds only for 1 < p < infinity
+        code = main(["lp-sweep", "--d", "1", "--K", "3", "--p", p, "--trials", "2"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_baselines_written(self, capsys, tmp_path):
         path = tmp_path / "empirical.json"
         code, _ = run(

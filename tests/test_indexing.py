@@ -17,7 +17,7 @@ from polymra import (
     nesting,
     support,
 )
-from oracles import cross_enum_fractions
+from oracles import cross_enum_fractions, rounding_floor
 
 
 def test_support():
@@ -113,9 +113,13 @@ def test_enum_cross_ties_included():
     st.integers(0, 8),
 )
 def test_enum_cross_matches_rational_oracle(beta, r):
-    got = enum_cross([float(b) for b in beta], r)
-    want = cross_enum_fractions(beta, r)
-    assert sorted(got) == sorted(want)
+    floats = [float(b) for b in beta]
+    got = sorted(enum_cross(floats, r))
+    # a float weight stands for every real that rounds to it, so the cross is
+    # the exact one at the lower end of each float's rounding interval
+    assert got == sorted(cross_enum_fractions([rounding_floor(f) for f in floats], r))
+    # the drawn weights round to the same floats, so their exact cross is inside
+    assert set(cross_enum_fractions(beta, r)) <= set(got)
 
 
 def test_enum_shell():
@@ -201,3 +205,30 @@ def test_counting_invalid():
         counting_ratios((0.0,), (1.0,), 5)
     with pytest.raises(ValueError):
         counting_ratios((1.0,), (1.0,), 0)
+
+
+def test_enum_cross_excludes_an_excess_above_the_rounding_bound():
+    # 4 * beta exceeds 1 by 1.0e-13, far more than the float sum can be off by
+    beta = float(Fraction(26543292084846271, 106173168339374464))
+    assert (4,) not in enum_cross([beta], 1)
+    assert not cross_contains((4,), [beta], 1)
+
+
+def test_enum_cross_decides_a_sub_ulp_excess():
+    # 4 * beta - 1 = 2.0e-16: float(beta) lies above 1/4, and so does every
+    # real that rounds to it
+    beta = float(Fraction(4976867265912683, 19907469063650728))
+    assert (4,) not in enum_cross([beta], 1)
+
+
+def test_rounded_weight_keeps_its_tie():
+    # float(0.4) > 2/5, but 2/5 rounds to it, so 5 * 0.4 <= 2 is a tie
+    assert (5,) in enum_cross((0.4,), 2)
+    assert (5,) in enum_shell((0.4,), 2)
+    rows = counting_ratios((0.4,), (1.0,), 2)
+    assert rows[1]["growth_sum"] == 2.0 ** 6 - 1.0
+
+
+def test_cross_contains_rejects_negative_levels():
+    with pytest.raises(ValueError):
+        cross_contains((-1, 2), (1.0, 1.0), 1)

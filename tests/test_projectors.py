@@ -10,9 +10,7 @@ from polymra import (
     analyze,
     analyze_block,
     apply_axis,
-    detail_operator_1d,
     grid_for,
-    level_operator_1d,
     load_decomposition,
     lp_norm,
     parseval_gap,
@@ -21,7 +19,7 @@ from polymra import (
     save_decomposition,
     synthesize,
 )
-from oracles import haar_block, haar_coeff_tensor
+from oracles import detail_operator_1d, haar_block, haar_coeff_tensor, level_operator_1d
 
 
 def _l2(grid, values):
@@ -329,3 +327,56 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not a decomposition\n")
     with pytest.raises(ValueError):
         load_decomposition(path)
+
+
+def _saved_text(rng):
+    g = grid_for(2, degree=(1, 0), level=2)
+    dec = analyze(g.function(rng.standard_normal(g.shape)), ("box", (2, 1)), (1, 0))
+    buf = io.StringIO()
+    save_decomposition(dec, buf)
+    return buf.getvalue()
+
+
+def _load_text(text):
+    return load_decomposition(io.StringIO(text))
+
+
+def test_load_rejects_a_missing_header_key(rng):
+    text = _saved_text(rng)
+    lines = [line for line in text.splitlines() if not line.startswith("degrees")]
+    with pytest.raises(ValueError, match="degrees"):
+        _load_text("\n".join(lines))
+
+
+def test_load_rejects_a_kappa_of_the_wrong_length(rng):
+    # the first record belongs to block (0, 0)
+    text = _saved_text(rng).replace("\nc 0,0 0,0 0 ", "\nc 0 0,0 0 ", 1)
+    with pytest.raises(ValueError, match="length"):
+        _load_text(text)
+
+
+def test_load_rejects_a_kappa_above_the_grid_level(rng):
+    text = _saved_text(rng).replace("\nc 0,0 0,0 0 ", "\nc 3,0 0,0 0 ", 1)
+    with pytest.raises(ValueError, match="resolution"):
+        _load_text(text)
+
+
+def test_load_rejects_a_cell_outside_the_block(rng):
+    # block (2, 1) has 2 x 1 cells
+    text = _saved_text(rng).replace("\nc 2,1 1,0 0 ", "\nc 2,1 2,0 0 ", 1)
+    with pytest.raises(ValueError, match="cell"):
+        _load_text(text)
+
+
+def test_load_rejects_a_basis_index_beyond_the_root_count(rng):
+    # degrees (1, 0): two basis functions per cell
+    text = _saved_text(rng).replace("\nc 0,0 0,0 1 ", "\nc 0,0 0,0 2 ", 1)
+    with pytest.raises(ValueError, match="basis index"):
+        _load_text(text)
+
+
+def test_load_rejects_a_duplicate_record(rng):
+    text = _saved_text(rng)
+    first = next(line for line in text.splitlines() if line.startswith("c "))
+    with pytest.raises(ValueError, match="duplicate"):
+        _load_text(text + first + "\n")

@@ -123,12 +123,21 @@ class TestTruncationError:
         assert err3 > 0.0
         assert err3 != pytest.approx(err2, rel=1e-6)
 
+    def test_degrees_are_required_not_read_off_the_grid(self):
+        # eight nodes per cell would read as degree 3 on a grid_for grid
+        grid = grid_for(1, degree=1, level=3, nodes_per_cell=8)
+        f = GridFunction(grid, np.ones(grid.shape))
+        _, n = truncation_error(f, (1.0,), 2, 2.0, degrees=(1,))
+        assert n == sum(detail_dim((k,), (1,)) for k in range(3))
+        with pytest.raises(TypeError):
+            truncation_error(f, (1.0,), 2, 2.0)
+
     def test_validation(self):
         f = synthesize_extremal(params2(alpha=(1.0,)), 3, 0)
         with pytest.raises(ValueError, match="radius"):
-            truncation_error(f, (1.0,), 0, 2.0)
+            truncation_error(f, (1.0,), 0, 2.0, degrees=(1,))
         with pytest.raises(ValueError, match="length"):
-            truncation_error(f, (1.0, 1.0), 2, 2.0)
+            truncation_error(f, (1.0, 1.0), 2, 2.0, degrees=(1,))
 
 
 class TestTailModel:
