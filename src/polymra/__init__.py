@@ -8,7 +8,7 @@ approximation rates. Everything is deterministic and quadrature-exact for
 piecewise polynomials aligned with the dyadic partition.
 """
 
-from .basis import detail_dim, scaling_basis_1d, wavelet_basis_1d
+from .basis import detail_dim, wavelet_basis_1d
 from .czd import (
     CellSet,
     CZSplit,
@@ -51,10 +51,8 @@ from .projectors import (
     PiecewisePoly,
     analyze,
     analyze_block,
-    apply_axis,
     load_decomposition,
     parseval_gap,
-    project_detail,
     project_level,
     save_decomposition,
     synthesize,
@@ -100,19 +98,16 @@ __all__ = [
     "cross_contains",
     "counting_ratios",
     "support",
-    "scaling_basis_1d",
     "wavelet_basis_1d",
     "detail_dim",
     "PiecewisePoly",
     "DetailCoeffs",
     "Decomposition",
     "project_level",
-    "project_detail",
     "analyze",
     "analyze_block",
     "synthesize",
     "parseval_gap",
-    "apply_axis",
     "save_decomposition",
     "load_decomposition",
     "SignFamily",

@@ -1,75 +1,34 @@
-"""Orthonormal bases of the detail spaces of the dyadic refinement.
+"""Two-scale relation of the orthonormal piecewise-polynomial bases in 1D.
 
-One refinement step in 1D doubles the piecewise-polynomial space; the new
-orthogonal complement has dimension degree+1 and is spanned by wavelet-like
-functions, each a pair of polynomials on (0,1/2) and (1/2,1) with vanishing
-moments up to the degree. Tensor products with either wavelet or scaling
-factors per axis give the multivariate detail bases; detail_cells and
-detail_dim fix the layout of their coefficient blocks.
+The scaling functions of a dyadic cell are its orthonormal Legendre
+polynomials up to the degree l. One refinement step splits the cell in two
+halves and doubles the space; every function in it is a coefficient vector
+of length 2(l+1) in the Legendre bases of the left and the right half. In
+those coordinates the cell's own polynomials are the columns H of
+_embedding_matrix, and the detail space of the step, the orthogonal
+complement of dimension l+1, is spanned by the columns G that
+wavelet_basis_1d returns: pairs of half-cell polynomials with vanishing
+moments up to the degree. [H | G] is orthogonal, which is the whole filter
+bank of the transform. Tensor products of wavelet or scaling factors per
+axis give the multivariate detail bases; detail_cells and detail_dim fix
+the layout of their coefficient blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .quadrature import gauss_rule, interval_basis_table, legendre_eval, legendre_table
+from .quadrature import gauss_rule, interval_basis_table, legendre_table
 
 __all__ = [
-    "ScalingPoly",
-    "HalfCellPoly",
-    "WaveletBasis1D",
-    "scaling_basis_1d",
     "wavelet_basis_1d",
     "detail_cells",
     "detail_dim",
 ]
-
-
-@dataclass(frozen=True)
-class ScalingPoly:
-    """Orthonormal shifted Legendre polynomial on (0,1)."""
-
-    degree: int
-
-    def __call__(self, x):
-        return legendre_eval(self.degree, x)
-
-
-@dataclass(frozen=True)
-class HalfCellPoly:
-    """Piecewise polynomial on (0,1): one polynomial per half interval.
-
-    Coefficients are in the orthonormal Legendre bases of (0,1/2) and
-    (1/2,1), so the squared L2(0,1) norm is the plain coefficient sum.
-    """
-
-    left: tuple[float, ...]
-    right: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.left) - 1
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        l = self.degree
-        left_table = interval_basis_table(l, x, 0.0, 0.5)
-        right_table = interval_basis_table(l, x, 0.5, 0.5)
-        on_left = x < 0.5
-        vals_left = np.tensordot(np.asarray(self.left), left_table, axes=([0], [0]))
-        vals_right = np.tensordot(np.asarray(self.right), right_table, axes=([0], [0]))
-        return np.where(on_left, vals_left, vals_right)
-
-
-def scaling_basis_1d(degree: int) -> list[ScalingPoly]:
-    """Orthonormal basis of the degree-l polynomials on (0,1)."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return [ScalingPoly(k) for k in range(degree + 1)]
 
 
 def _embedding_matrix(degree: int) -> np.ndarray:
@@ -89,21 +48,16 @@ def _embedding_matrix(degree: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-@dataclass(frozen=True)
-class WaveletBasis1D:
-    degree: int
-    functions: tuple[HalfCellPoly, ...]
+@functools.lru_cache(maxsize=16)
+def _two_scale_matrix(degree: int) -> np.ndarray:
+    """Orthogonal two-scale matrix [H | G], shape (2*(degree+1), 2*(degree+1)).
 
-
-def wavelet_basis_1d(degree: int) -> WaveletBasis1D:
-    """Deterministic orthonormal basis of the one-step detail space in 1D.
-
-    The degree+1 functions are orthonormal, orthogonal to all polynomials of
-    degree <= l on (0,1), and together with the scaling polynomials span the
-    two-cell piecewise polynomial space. Construction: project the half-cell
-    coordinates onto the complement of the global polynomials and run a
+    H is _embedding_matrix; G spans its orthogonal complement. Construction:
+    project the half-cell coordinates onto that complement and run a
     fixed-order Gram-Schmidt; signs are fixed by making the last nonzero
-    coordinate positive.
+    coordinate of each column of G positive. The result depends on the
+    degree alone and costs far more to build than to apply on a small
+    grid, so it is kept per degree, read-only.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
@@ -124,13 +78,25 @@ def wavelet_basis_1d(degree: int) -> WaveletBasis1D:
             break
     if len(basis_vecs) != l + 1:
         raise RuntimeError("complement construction failed to reach full rank")
-    funcs = []
+    cols = [emb]
     for v in basis_vecs:
         nz = np.nonzero(np.abs(v) > 1e-10)[0]
-        if v[nz[-1]] < 0:
-            v = -v
-        funcs.append(HalfCellPoly(left=tuple(v[: l + 1]), right=tuple(v[l + 1 :])))
-    return WaveletBasis1D(degree=l, functions=tuple(funcs))
+        cols.append((-v if v[nz[-1]] < 0 else v)[:, None])
+    bank = np.hstack(cols)
+    bank.flags.writeable = False
+    return bank
+
+
+def wavelet_basis_1d(degree: int) -> np.ndarray:
+    """Deterministic orthonormal basis G of the one-step detail space in 1D.
+
+    Returns shape (2*(degree+1), degree+1): column i holds the Legendre
+    coefficients of the i-th wavelet on (0,1/2) in its first degree+1 rows
+    and on (1/2,1) in the rest. The columns are orthonormal, orthogonal to
+    all polynomials of degree <= l on (0,1), and together with the scaling
+    polynomials span the two-cell piecewise polynomial space.
+    """
+    return _two_scale_matrix(degree)[:, degree + 1 :].copy()
 
 
 def detail_cells(kappa: Sequence[int]) -> tuple[int, ...]:

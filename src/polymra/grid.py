@@ -41,7 +41,7 @@ def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
 class Grid:
     """Tensor Gauss grid over the level-K dyadic partition of the unit cube."""
 
-    __slots__ = ("d", "level", "nodes_per_cell", "axis_nodes", "axis_weights", "_cache")
+    __slots__ = ("d", "level", "nodes_per_cell", "axis_nodes", "axis_weights")
 
     def __init__(self, d: int, level: int, nodes_per_cell):
         d = int(d)
@@ -63,7 +63,6 @@ class Grid:
             weights.append(np.tile(w / cells, cells))
         self.axis_nodes = tuple(nodes)
         self.axis_weights = tuple(weights)
-        self._cache: dict = {}
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -198,7 +197,9 @@ def lp_norm(f: GridFunction, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    return f.grid.integrate(np.abs(f.values) ** p) ** (1.0 / p)
+    powered = np.abs(f.values)
+    powered **= p
+    return f.grid.integrate(powered) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -1,120 +1,146 @@
 """Level and detail orthoprojectors and the multiwavelet analysis/synthesis transform.
 
-Level projections contract each axis with the orthonormal scaling tables of
-one dyadic cell. The full transform uses one dense matrix per axis whose
-columns are all wavelets of levels 0..K at the axis nodes, built once per
-(grid, axis, degree) and cached on the grid: synthesis applies it along
-each axis, analysis applies its weighted transpose, and every detail block
-is a slice of the coefficient tensor. project_detail forms one detail
-projection from level projections by inclusion-exclusion. The dense
-per-axis projector matrices that cross-check both routes are test oracles,
-not library code.
+Level projections contract each axis with the orthonormal Legendre table of
+one dyadic cell. The full transform is separable and runs as a two-scale
+filter bank (Alpert's multiwavelet pyramid): analysis projects every finest
+cell onto its Legendre coefficients, the level-K projection, then along
+each axis K times merges each pair of sibling cells with the orthogonal
+matrix [H | G] of basis, keeping the parent's scaling coefficients for the
+next step and writing out its wavelet coefficients. Synthesis runs the
+transposed steps from level 0 up to level K and evaluates the finest
+cells. Every step applies one small matrix to runs of consecutive entries
+along one axis, so an axis of M nodes costs O(M (l+1)) time and memory.
+Every detail block is a slice of the coefficient tensor, laid out as
+_block_range says.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import detail_cells, detail_dim, scaling_basis_1d, wavelet_basis_1d
+from .basis import _two_scale_matrix, detail_cells, detail_dim
 from .grid import Grid, GridFunction, _as_tuple
-from .indexing import enum_box, enum_cross, support
+from .indexing import enum_box, enum_cross
+from .quadrature import interval_basis_table
 
 __all__ = [
     "PiecewisePoly",
     "DetailCoeffs",
     "Decomposition",
     "project_level",
-    "project_detail",
     "analyze",
     "analyze_block",
     "synthesize",
     "parseval_gap",
-    "apply_axis",
     "save_decomposition",
     "load_decomposition",
 ]
 
-_CELLS = "abc"
-_NODES = "pqr"
-_ROOTS = "xyz"
-
-
 # ---------------------------------------------------------------------------
-# cached per-axis building blocks
-
-
-def _cell_nodes(grid: Grid, axis: int, m: int) -> np.ndarray:
-    n = grid.axis_cell_nodes(axis, m)
-    return grid.axis_nodes[axis][:n]
-
-
-def _cell_weights(grid: Grid, axis: int, m: int) -> np.ndarray:
-    n = grid.axis_cell_nodes(axis, m)
-    return grid.axis_weights[axis][:n]
+# per-axis building blocks
 
 
 def _scaling_block(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
     """Orthonormal scaling basis of the first level-m cell at its nodes, (n_loc, degree+1)."""
-    key = ("scal", axis, m, degree)
-    if key not in grid._cache:
-        xs = _cell_nodes(grid, axis, m)
-        width = 0.5 ** m
-        table = np.empty((len(xs), degree + 1))
-        for i, fn in enumerate(scaling_basis_1d(degree)):
-            table[:, i] = fn(xs / width) / np.sqrt(width)
-        grid._cache[key] = table
-    return grid._cache[key]
-
-
-def _wavelet_block(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
-    """Level-m wavelets living on the first level-(m-1) cell, at its nodes.
-
-    Columns are 2^((m-1)/2) * phi_i(2^(m-1) x); requires m >= 1.
-    """
-    key = ("wave", axis, m, degree)
-    if key not in grid._cache:
-        xs = _cell_nodes(grid, axis, m - 1)
-        scale = 2.0 ** (m - 1)
-        basis = wavelet_basis_1d(degree).functions
-        table = np.empty((len(xs), degree + 1))
-        for i, fn in enumerate(basis):
-            table[:, i] = np.sqrt(scale) * fn(scale * xs)
-        grid._cache[key] = table
-    return grid._cache[key]
-
-
-def _axis_synthesis(grid: Grid, axis: int, degree: int) -> np.ndarray:
-    """All wavelet functions on the axis as columns, levels 0..K stacked.
-
-    Shape (M, (degree+1)*2^K); columns are orthonormal in the quadrature
-    inner product, so analysis is the transpose times the weights.
-    """
-    key = ("synth", axis, degree)
-    if key not in grid._cache:
-        cols = [_scaling_block(grid, axis, 0, degree)]
-        for m in range(1, grid.level + 1):
-            cols.append(np.kron(np.eye(2 ** (m - 1)), _wavelet_block(grid, axis, m, degree)))
-        grid._cache[key] = np.hstack(cols)
-    return grid._cache[key]
-
-
-def _axis_analysis(grid: Grid, axis: int, degree: int) -> np.ndarray:
-    key = ("anal", axis, degree)
-    if key not in grid._cache:
-        s = _axis_synthesis(grid, axis, degree)
-        grid._cache[key] = s.T * grid.axis_weights[axis]
-    return grid._cache[key]
+    xs = grid.axis_nodes[axis][: grid.axis_cell_nodes(axis, m)]
+    return interval_basis_table(degree, xs, 0.0, 0.5 ** m).T
 
 
 def _block_range(degree: int, m: int) -> slice:
-    """Rows of the stacked per-axis transform belonging to level m."""
+    """Rows of the stacked per-axis transform belonging to level m.
+
+    Level 0 holds the degree+1 scaling coefficients of the unit interval;
+    level m >= 1 holds the wavelets of the 2^(m-1) level-(m-1) cells,
+    cell-major with the wavelet degree minor.
+    """
     r = degree + 1
     if m == 0:
         return slice(0, r)
     return slice(r * 2 ** (m - 1), r * 2 ** m)
+
+
+def _axis_product(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """mat (a, b) applied to every run of b consecutive entries along one axis of x.
+
+    The axis length L becomes L a / b; every other axis is untouched.
+    """
+    b = mat.shape[1]
+    shape = x.shape
+    post = math.prod(shape[axis + 1 :])
+    if post == 1:  # one tall product instead of a batch of one-column ones
+        y = x.reshape(-1, b) @ mat.T
+    else:
+        y = mat @ x.reshape(-1, b, post)
+    return y.reshape(shape[:axis] + (-1,) + shape[axis + 1 :])
+
+
+def _cell_coeffs(grid: Grid, values: np.ndarray, kappa, degrees) -> np.ndarray:
+    """Legendre coefficients of every level-kappa cell; axis j runs cell-major, degree minor."""
+    for j in range(grid.d):
+        ws = grid.axis_weights[j][: grid.axis_cell_nodes(j, kappa[j])]
+        table = _scaling_block(grid, j, kappa[j], degrees[j]) * ws[:, None]
+        values = _axis_product(table.T, values, j)
+    return values
+
+
+def _cell_values(grid: Grid, coeffs: np.ndarray, kappa, degrees) -> np.ndarray:
+    """Node values of the cellwise polynomials with the _cell_coeffs layout."""
+    for j in range(grid.d):
+        coeffs = _axis_product(_scaling_block(grid, j, kappa[j], degrees[j]), coeffs, j)
+    return coeffs
+
+
+def _split_cells(x: np.ndarray, cells, roots) -> np.ndarray:
+    """(cells_1 roots_1, ..., cells_d roots_d) cell-major axes to (cells..., roots...)."""
+    d = len(cells)
+    inter = [v for pair in zip(cells, roots) for v in pair]
+    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+    return x.reshape(inter).transpose(order)
+
+
+def _join_cells(x: np.ndarray, cells, roots) -> np.ndarray:
+    """Inverse of _split_cells."""
+    d = len(cells)
+    order = [v for j in range(d) for v in (j, d + j)]
+    joined = x.reshape(tuple(cells) + tuple(roots)).transpose(order)
+    return joined.reshape(tuple(c * r for c, r in zip(cells, roots)))
+
+
+def _analyze_axis(coeffs: np.ndarray, axis: int, bank: np.ndarray, K: int) -> np.ndarray:
+    """K two-scale steps along one axis: level-K scaling coefficients in, _block_range out.
+
+    bank is the axis's two-scale matrix [H | G]; each step maps a pair of
+    sibling cells to the parent's scaling and wavelet coefficients.
+    """
+    r = bank.shape[1] // 2
+    shape = coeffs.shape
+    pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+    out = np.empty((pre, shape[axis], post))
+    s = coeffs.reshape(pre, -1, post)
+    for m in range(K, 0, -1):
+        merged = _axis_product(bank.T, s, 1).reshape(pre, 2 ** (m - 1), 2 * r, post)
+        out[:, _block_range(r - 1, m)] = merged[:, :, r:].reshape(pre, -1, post)
+        s = merged[:, :, :r].reshape(pre, -1, post)
+    out[:, _block_range(r - 1, 0)] = s
+    return out.reshape(shape)
+
+
+def _synthesize_axis(coeffs: np.ndarray, axis: int, bank: np.ndarray, K: int) -> np.ndarray:
+    """Inverse of _analyze_axis: the level-K scaling coefficients from the stacked ones."""
+    r = bank.shape[1] // 2
+    shape = coeffs.shape
+    pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+    flat = coeffs.reshape(pre, -1, post)
+    s = flat[:, _block_range(r - 1, 0)]
+    for m in range(1, K + 1):
+        detail = flat[:, _block_range(r - 1, m)].reshape(pre, 2 ** (m - 1), r, post)
+        pairs = np.concatenate([s.reshape(detail.shape), detail], axis=2)
+        s = _axis_product(bank, pairs.reshape(pre, -1, post), 1)
+    return s.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +164,10 @@ class PiecewisePoly:
         return float(np.linalg.norm(self.coeffs))
 
     def to_grid(self) -> GridFunction:
-        grid = self.grid
-        d = grid.d
-        tables = [
-            _scaling_block(grid, j, self.level[j], self.degrees[j]).T for j in range(d)
-        ]
-        in_sub = "".join(_CELLS[:d]) + "".join(_ROOTS[:d])
-        ops = ",".join(r + n for r, n in zip(_ROOTS[:d], _NODES[:d]))
-        out = "".join(c + n for c, n in zip(_CELLS[:d], _NODES[:d]))
-        values = np.einsum(f"{in_sub},{ops}->{out}", self.coeffs, *tables, optimize=True)
-        return GridFunction(grid, values.reshape(grid.shape))
+        cells = tuple(2 ** k for k in self.level)
+        roots = tuple(l + 1 for l in self.degrees)
+        coeffs = _join_cells(self.coeffs, cells, roots)
+        return GridFunction(self.grid, _cell_values(self.grid, coeffs, self.level, self.degrees))
 
 
 def _check_levels(grid: Grid, kappa, name: str = "kappa") -> tuple[int, ...]:
@@ -161,53 +181,17 @@ def _check_levels(grid: Grid, kappa, name: str = "kappa") -> tuple[int, ...]:
     return kappa
 
 
-def _interleaved(grid: Grid, values: np.ndarray, kappa: tuple[int, ...]) -> np.ndarray:
-    """Reshape node values to (cells_1, in-cell_1, ..., cells_d, in-cell_d)."""
-    shape = []
-    for j, k in enumerate(kappa):
-        shape.extend((2 ** k, grid.axis_cell_nodes(j, k)))
-    return values.reshape(shape)
-
-
 def project_level(f: GridFunction, kappa, degrees) -> PiecewisePoly:
     """Cellwise L2 projection onto tensor polynomials over the level-kappa partition."""
     grid = f.grid
-    d = grid.d
     kappa = _check_levels(grid, kappa)
-    degs = _as_tuple(degrees, d, "degrees")
+    degs = _as_tuple(degrees, grid.d, "degrees")
     if any(l < 0 for l in degs):
         raise ValueError(f"degrees must be >= 0, got {degs}")
-    tables = []
-    for j in range(d):
-        b = _scaling_block(grid, j, kappa[j], degs[j])
-        w = _cell_weights(grid, j, kappa[j])
-        tables.append((b * w[:, None]).T)  # (degree+1, n_loc)
-    v = _interleaved(grid, f.values, kappa)
-    in_sub = "".join(c + n for c, n in zip(_CELLS[:d], _NODES[:d]))
-    ops = ",".join(r + n for r, n in zip(_ROOTS[:d], _NODES[:d]))
-    out = "".join(_CELLS[:d]) + "".join(_ROOTS[:d])
-    coeffs = np.einsum(f"{in_sub},{ops}->{out}", v, *tables, optimize=True)
+    coeffs = _cell_coeffs(grid, f.values, kappa, degs)
+    cells = tuple(2 ** k for k in kappa)
+    coeffs = _split_cells(coeffs, cells, tuple(l + 1 for l in degs))
     return PiecewisePoly(grid=grid, level=kappa, degrees=degs, coeffs=coeffs)
-
-
-def project_detail(f: GridFunction, kappa, degrees) -> GridFunction:
-    """Detail projector at multi-level kappa by inclusion-exclusion of level projectors.
-
-    Sums (-1)^|eps| E_(kappa-eps) over all 0/1 vectors eps supported where
-    kappa is nonzero; agrees with the wavelet route to roundoff.
-    """
-    grid = f.grid
-    kappa = _check_levels(grid, kappa)
-    axes = sorted(support(kappa))
-    acc = np.zeros(grid.shape)
-    for bits in range(2 ** len(axes)):
-        eps = [0] * grid.d
-        for t, j in enumerate(axes):
-            eps[j] = (bits >> t) & 1
-        sign = -1.0 if sum(eps) % 2 else 1.0
-        shifted = tuple(k - e for k, e in zip(kappa, eps))
-        acc += sign * project_level(f, shifted, degrees).to_grid().values
-    return GridFunction(grid, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -281,39 +265,24 @@ def resolve_index_set(index_set, d: int) -> tuple[tuple, list[tuple[int, ...]]]:
 
 
 def _full_coeffs(f: GridFunction, degrees: tuple[int, ...]) -> np.ndarray:
-    out = f.values
-    for j in range(f.grid.d):
-        mat = _axis_analysis(f.grid, j, degrees[j])
-        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [j])), 0, j)
+    K = f.grid.level
+    out = _cell_coeffs(f.grid, f.values, (K,) * f.grid.d, degrees)
+    for j, l in enumerate(degrees):
+        out = _analyze_axis(out, j, _two_scale_matrix(l), K)
     return out
 
 
 def _extract_block(full: np.ndarray, kappa, degrees) -> np.ndarray:
-    d = len(kappa)
-    sub = full[tuple(_block_range(degrees[j], kappa[j]) for j in range(d))]
+    sub = full[tuple(_block_range(l, k) for l, k in zip(degrees, kappa))]
     cells = detail_cells(kappa)
-    inter = []
-    for j in range(d):
-        inter.extend((cells[j], degrees[j] + 1))
-    sub = sub.reshape(inter)
-    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    sub = np.transpose(sub, order)
+    sub = _split_cells(sub, cells, tuple(l + 1 for l in degrees))
     return np.ascontiguousarray(sub.reshape(cells + (-1,)))
 
 
 def _insert_block(full: np.ndarray, block: DetailCoeffs) -> None:
-    d = len(block.kappa)
-    cells = block.cells_shape
     roots = tuple(l + 1 for l in block.degrees)
-    sub = block.coeffs.reshape(cells + roots)
-    order = [None] * (2 * d)
-    for j in range(d):
-        order[2 * j] = j
-        order[2 * j + 1] = d + j
-    sub = np.transpose(sub, order)
-    sub = sub.reshape(tuple(c * r for c, r in zip(cells, roots)))
-    slices = tuple(_block_range(block.degrees[j], block.kappa[j]) for j in range(d))
-    full[slices] += sub
+    slices = tuple(_block_range(l, k) for l, k in zip(block.degrees, block.kappa))
+    full[slices] += _join_cells(block.coeffs, block.cells_shape, roots)
 
 
 def analyze(f: GridFunction, index_set, degrees) -> Decomposition:
@@ -345,11 +314,9 @@ def synthesize(dec: Decomposition) -> GridFunction:
     full = np.zeros(shape)
     for block in dec.blocks.values():
         _insert_block(full, block)
-    out = full
-    for j in range(d):
-        mat = _axis_synthesis(grid, j, dec.degrees[j])
-        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [j])), 0, j)
-    return GridFunction(grid, out)
+    for j, l in enumerate(dec.degrees):
+        full = _synthesize_axis(full, j, _two_scale_matrix(l), grid.level)
+    return GridFunction(grid, _cell_values(grid, full, (grid.level,) * d, dec.degrees))
 
 
 def parseval_gap(f: GridFunction, k, degrees) -> float:
@@ -362,31 +329,6 @@ def parseval_gap(f: GridFunction, k, degrees) -> float:
         b.l2_norm() ** 2 for b in analyze(f, ("box", k), degs).blocks.values()
     )
     return abs(lhs - rhs)
-
-
-def apply_axis(op_1d, axis: int, f: GridFunction) -> GridFunction:
-    """Apply a 1D linear operator along one axis for all other coordinates fixed.
-
-    op_1d is either an (M, M) matrix on the axis nodes or a callable mapping
-    an (M, anything) array to an array of the same shape.
-    """
-    grid = f.grid
-    if not 0 <= axis < grid.d:
-        raise ValueError(f"axis {axis} outside 0..{grid.d - 1}")
-    if callable(op_1d):
-        moved = np.moveaxis(f.values, axis, 0)
-        flat = moved.reshape(moved.shape[0], -1)
-        res = np.asarray(op_1d(flat), dtype=float)
-        if res.shape != flat.shape:
-            raise ValueError("axis operator changed the sample shape")
-        return GridFunction(grid, np.moveaxis(res.reshape(moved.shape), 0, axis))
-    mat = np.asarray(op_1d, dtype=float)
-    n = f.values.shape[axis]
-    if mat.shape != (n, n):
-        raise ValueError(f"axis operator must be {(n, n)}, got {mat.shape}")
-    return GridFunction(
-        grid, np.moveaxis(np.tensordot(mat, f.values, axes=([1], [axis])), 0, axis)
-    )
 
 
 # ---------------------------------------------------------------------------

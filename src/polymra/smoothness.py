@@ -130,8 +130,16 @@ def mixed_difference(f: GridFunction, h, l) -> GridFunction:
 
 def _fill_norms(values: np.ndarray, grid: Grid, l: tuple[int, ...], p: float,
                 axes: tuple[int, ...], smax: tuple[int, ...], out: np.ndarray) -> None:
+    """Difference norms for every step vector up to smax into the zeroed array out.
+
+    Steps whose span l * s reaches the cell count leave an empty domain:
+    the difference is the zero function, its entry stays 0 and is skipped.
+    """
     axis = axes[0]
-    for s in range(1, smax[0] + 1):
+    last = smax[0]
+    if l[axis] > 0:
+        last = min(last, (grid.cells_per_axis - 1) // l[axis])
+    for s in range(1, last + 1):
         diff = _axis_difference(values, grid, axis, l[axis], s)
         if len(axes) == 1:
             out[s - 1] = lp_norm(GridFunction(grid, diff), p)

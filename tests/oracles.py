@@ -12,6 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from polymra.grid import GridFunction
+from polymra.indexing import support
+from polymra.projectors import project_level
 from polymra.quadrature import interval_basis_table
 
 
@@ -54,6 +57,47 @@ def detail_operator_1d(grid, axis, m, degree):
     if m > 0:
         out = out - level_operator_1d(grid, axis, m - 1, degree)
     return out
+
+
+def apply_axis(op_1d, axis, f):
+    """Apply an (M, M) matrix along one axis of a GridFunction, other coordinates fixed."""
+    mat = np.asarray(op_1d, dtype=float)
+    out = np.tensordot(mat, f.values, axes=([1], [axis]))
+    return GridFunction(f.grid, np.moveaxis(out, 0, axis))
+
+
+def project_detail(f, kappa, degrees):
+    """Detail projector at multi-level kappa by inclusion-exclusion of level projectors.
+
+    Sums (-1)^|eps| E_(kappa-eps) over all 0/1 vectors eps supported where
+    kappa is nonzero, so it never touches the wavelet filter bank.
+    """
+    grid = f.grid
+    kappa = tuple(int(k) for k in kappa)
+    axes = sorted(support(kappa))
+    acc = np.zeros(grid.shape)
+    for bits in range(2 ** len(axes)):
+        eps = [0] * grid.d
+        for t, j in enumerate(axes):
+            eps[j] = (bits >> t) & 1
+        sign = -1.0 if sum(eps) % 2 else 1.0
+        shifted = tuple(k - e for k, e in zip(kappa, eps))
+        acc += sign * project_level(f, shifted, degrees).to_grid().values
+    return GridFunction(grid, acc)
+
+
+def half_cell_values(vec, x):
+    """Values on (0,1) of a two-piece polynomial given by half-interval Legendre coordinates.
+
+    vec has length 2(l+1): the coefficients in the orthonormal Legendre
+    basis of (0,1/2), then of (1/2,1), the layout of the two-scale matrices.
+    """
+    vec = np.asarray(vec, dtype=float)
+    l = len(vec) // 2 - 1
+    x = np.asarray(x, dtype=float)
+    left = vec[: l + 1] @ interval_basis_table(l, x, 0.0, 0.5)
+    right = vec[l + 1 :] @ interval_basis_table(l, x, 0.5, 0.5)
+    return np.where(x < 0.5, left, right)
 
 
 def haar_coeffs_1d(avgs):

@@ -17,17 +17,18 @@ from polymra.grid import GridFunction, grid_for, lp_norm
 from polymra.indexing import enum_box, enum_cross
 from polymra.lp_analysis import (
     SignFamily,
+    detail_components,
     khintchine_check,
     lp_equivalence,
     pstar_ratio,
     random_resolved,
     sign_series,
 )
-from polymra.projectors import analyze, parseval_gap, project_detail, project_level
+from polymra.projectors import analyze, parseval_gap, project_level
 from polymra.smoothness import SmoothnessParams
 from polymra.widths import WidthExperimentConfig, rate_fit, width_experiment
 
-from oracles import haar_block, haar_coeff_tensor, rademacher_sum_lp_brute
+from oracles import haar_block, haar_coeff_tensor, project_detail, rademacher_sum_lp_brute
 
 
 def test_criterion_01_parseval_identity():
@@ -44,39 +45,39 @@ def test_criterion_01_parseval_identity():
     assert checked == 100
 
 
+def _details(f, kappas, degs):
+    # the library route: every analysed block synthesized on its own
+    return detail_components(analyze(f, list(kappas), degs))
+
+
 def test_criterion_02_projector_algebra():
     # annihilation, idempotency, self-adjointness, cross-orthogonality and the
-    # tensor factorization route all at 1e-10, d = 2, blocks up to (2, 2)
+    # inclusion-exclusion route all at 1e-10, d = 2, blocks up to (2, 2)
     rng = np.random.default_rng(2102)
     grid = grid_for(2, degree=1, level=2)
     degs = (1, 1)
     f = grid.function(rng.standard_normal(grid.shape))
     g = grid.function(rng.standard_normal(grid.shape))
     scale = lp_norm(f, 2.0)
-    details = {kappa: project_detail(f, kappa, degs) for kappa in enum_box((2, 2))}
+    kappas = enum_box((2, 2))
+    details = _details(f, kappas, degs)
+    details_g = _details(g, kappas, degs)
     for kappa, ek in details.items():
-        twice = project_detail(ek, kappa, degs)
-        assert np.abs(twice.values - ek.values).max() <= 1e-10 * scale
-        ekg = project_detail(g, kappa, degs)
+        twice = _details(ek, kappas, degs)
+        assert np.abs(twice[kappa].values - ek.values).max() <= 1e-10 * scale
         lhs = grid.integrate(ek.values * g.values)
-        rhs = grid.integrate(f.values * ekg.values)
+        rhs = grid.integrate(f.values * details_g[kappa].values)
         assert abs(lhs - rhs) <= 1e-10 * scale * lp_norm(g, 2.0)
         if any(kappa):
             coarse = project_level(f, tuple(max(c - 1, 0) for c in kappa), degs).to_grid()
-            killed = project_detail(coarse, kappa, degs)
+            killed = _details(coarse, [kappa], degs)[kappa]
             assert np.abs(killed.values).max() <= 1e-10 * scale
         for other in details:
             if other != kappa:
-                cross = project_detail(ek, other, degs)
-                assert np.abs(cross.values).max() <= 1e-10 * scale
-        # factorization route: difference products of level projections
-        alt = np.zeros(grid.shape)
-        axes = [j for j, c in enumerate(kappa) if c > 0]
-        for mask in range(2 ** len(axes)):
-            drop = [axes[i] for i in range(len(axes)) if mask >> i & 1]
-            lower = tuple(c - 1 if j in drop else c for j, c in enumerate(kappa))
-            alt += (-1) ** len(drop) * project_level(f, lower, degs).to_grid().values
-        assert np.abs(alt - ek.values).max() <= 1e-10 * scale
+                assert np.abs(twice[other].values).max() <= 1e-10 * scale
+        # cross-check: difference products of level projections
+        alt = project_detail(f, kappa, degs)
+        assert np.abs(alt.values - ek.values).max() <= 1e-10 * scale
 
 
 def test_criterion_03_telescoping_identity():
@@ -86,7 +87,10 @@ def test_criterion_03_telescoping_identity():
     degs = (1, 1)
     f = grid.function(rng.standard_normal(grid.shape))
     scale = lp_norm(f, 2.0)
-    details = {kappa: project_detail(f, kappa, degs).values for kappa in enum_box((3, 3))}
+    details = {k: g.values for k, g in _details(f, enum_box((3, 3)), degs).items()}
+    for kappa, ek in details.items():
+        alt = project_detail(f, kappa, degs).values
+        assert np.abs(alt - ek).max() <= 1e-10 * scale
     for k in enum_box((3, 3)):
         total = sum(details[kappa] for kappa in enum_box(k))
         level = project_level(f, k, degs).to_grid().values

@@ -1,4 +1,4 @@
-"""Wavelet-style detail bases: orthonormality, spans, dimensions."""
+"""Two-scale bases: orthonormality, spans, dimensions."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,13 @@ import pytest
 from polymra import (
     detail_dim,
     grid_for,
-    scaling_basis_1d,
     wavelet_basis_1d,
 )
+from polymra.basis import _embedding_matrix
+from polymra.projectors import _scaling_block
 from polymra.quadrature import gauss_rule
+
+from oracles import half_cell_values, project_detail
 
 
 def _half_cell_quad(n):
@@ -20,30 +23,45 @@ def _half_cell_quad(n):
     return xs, ws
 
 
+def _two_scale_rows(l, xs):
+    # scaling functions (columns of H) then wavelets (columns of G), evaluated at xs
+    cols = np.hstack([_embedding_matrix(l), wavelet_basis_1d(l)])
+    return np.array([half_cell_values(c, xs) for c in cols.T])
+
+
 def test_scaling_basis_values():
-    fns = scaling_basis_1d(1)
-    assert len(fns) == 2
+    # the level-1 cell (0, 1/2) carries sqrt(2) * {1, sqrt(3)(4x - 1)}, and
+    # the columns of H are the Legendre polynomials of (0, 1) on the halves
+    g = grid_for(1, degree=1, level=2)
+    xs = g.axis_nodes[0][: g.axis_cell_nodes(0, 1)]
+    table = _scaling_block(g, 0, 1, 1)
+    assert table.shape == (len(xs), 2)
+    np.testing.assert_allclose(table[:, 0], np.sqrt(2.0), atol=1e-14)
+    np.testing.assert_allclose(table[:, 1], np.sqrt(6.0) * (4.0 * xs - 1.0), atol=1e-13)
     x = np.array([0.1, 0.5, 0.9])
-    np.testing.assert_allclose(fns[0](x), np.ones(3), atol=1e-14)
-    np.testing.assert_allclose(fns[1](x), np.sqrt(3.0) * (2.0 * x - 1.0), atol=1e-13)
+    h = _embedding_matrix(1)
+    np.testing.assert_allclose(half_cell_values(h[:, 0], x), np.ones(3), atol=1e-14)
+    np.testing.assert_allclose(
+        half_cell_values(h[:, 1], x), np.sqrt(3.0) * (2.0 * x - 1.0), atol=1e-13
+    )
     with pytest.raises(ValueError):
-        scaling_basis_1d(-1)
+        _scaling_block(g, 0, 1, -1)
 
 
 def test_haar_values():
     basis = wavelet_basis_1d(0)
-    assert len(basis.functions) == 1
-    haar = basis.functions[0]
-    assert haar(np.array([0.25]))[0] == pytest.approx(-1.0, abs=1e-12)
-    assert haar(np.array([0.75]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert basis.shape == (2, 1)
+    haar = basis[:, 0]
+    assert half_cell_values(haar, np.array([0.25]))[0] == pytest.approx(-1.0, abs=1e-12)
+    assert half_cell_values(haar, np.array([0.75]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wavelet_moments_l1():
     basis = wavelet_basis_1d(1)
-    assert len(basis.functions) == 2
+    assert basis.shape == (4, 2)
     xs, ws = _half_cell_quad(4)
-    for fn in basis.functions:
-        vals = fn(xs)
+    for col in basis.T:
+        vals = half_cell_values(col, xs)
         assert abs(np.dot(ws, vals)) < 1e-13
         assert abs(np.dot(ws, xs * vals)) < 1e-13
 
@@ -52,18 +70,15 @@ def test_wavelet_moments_l1():
 def test_combined_gram_identity(l):
     # scaling + wavelet functions together are an orthonormal system of size 2(l+1)
     xs, ws = _half_cell_quad(l + 2)
-    rows = [fn(xs) for fn in scaling_basis_1d(l)]
-    rows += [fn(xs) for fn in wavelet_basis_1d(l).functions]
-    rows = np.array(rows)
+    rows = _two_scale_rows(l, xs)
     gram = (rows * ws) @ rows.T
     np.testing.assert_allclose(gram, np.eye(2 * (l + 1)), atol=1e-12)
 
 
 def test_wavelet_deterministic():
-    a = wavelet_basis_1d(2)
-    b = wavelet_basis_1d(2)
-    for fa, fb in zip(a.functions, b.functions):
-        assert fa.left == fb.left and fa.right == fb.right
+    assert np.array_equal(wavelet_basis_1d(2), wavelet_basis_1d(2))
+    with pytest.raises(ValueError):
+        wavelet_basis_1d(-1)
 
 
 def test_wavelet_spans_refinement():
@@ -71,9 +86,7 @@ def test_wavelet_spans_refinement():
     rng = np.random.default_rng(7)
     l = 2
     xs, ws = _half_cell_quad(l + 2)
-    rows = [fn(xs) for fn in scaling_basis_1d(l)]
-    rows += [fn(xs) for fn in wavelet_basis_1d(l).functions]
-    rows = np.array(rows)
+    rows = _two_scale_rows(l, xs)
     target = np.where(
         xs < 0.5, 1.0 + xs - 3.0 * xs ** 2, rng.standard_normal() + 2.0 * xs
     )
@@ -94,8 +107,6 @@ def test_detail_dim_values():
 
 def test_detail_dim_matches_projector_rank(rng):
     # numeric rank of the detail projector restricted to level-(2,2) polynomials
-    from polymra import project_detail
-
     g = grid_for(2, degree=(1, 0), level=3)
     degs = (1, 0)
     span_dim = 2 * 1 * 4 * 4  # dim of the level-(2,2) piecewise polynomial space

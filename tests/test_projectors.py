@@ -1,6 +1,7 @@
 """Level/detail orthoprojectors, the full transform, and the Haar oracle."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,21 +10,33 @@ from polymra import (
     Decomposition,
     analyze,
     analyze_block,
-    apply_axis,
+    detail_components,
     grid_for,
     load_decomposition,
     lp_norm,
     parseval_gap,
-    project_detail,
     project_level,
     save_decomposition,
     synthesize,
 )
-from oracles import detail_operator_1d, haar_block, haar_coeff_tensor, level_operator_1d
+from oracles import (
+    apply_axis,
+    detail_operator_1d,
+    haar_block,
+    haar_coeff_tensor,
+    level_operator_1d,
+    project_detail,
+)
 
 
 def _l2(grid, values):
     return float(np.sqrt(grid.integrate(values ** 2)))
+
+
+def _detail(f, kappa, degs):
+    # the library's detail projection: one analysed block synthesized on its own
+    kappa = tuple(kappa)
+    return detail_components(analyze(f, [kappa], degs))[kappa]
 
 
 def _random_piecewise(grid, kappa, degs, rng):
@@ -70,7 +83,7 @@ def test_project_level_resolution_error():
 def test_project_detail_haar_values():
     g = grid_for(1, degree=0, level=4)
     f = g.sample(lambda x: x)
-    vals = project_detail(f, (1,), (0,)).values
+    vals = _detail(f, (1,), (0,)).values
     np.testing.assert_allclose(vals[: len(vals) // 2], -0.25, atol=1e-14)
     np.testing.assert_allclose(vals[len(vals) // 2 :], 0.25, atol=1e-14)
 
@@ -78,7 +91,7 @@ def test_project_detail_haar_values():
 def test_project_detail_kappa_zero(rng):
     g = grid_for(2, degree=0, level=2)
     f = g.function(rng.standard_normal(g.shape))
-    a = project_detail(f, (0, 0), (0, 0)).values
+    a = _detail(f, (0, 0), (0, 0)).values
     b = project_level(f, (0, 0), (0, 0)).to_grid().values
     np.testing.assert_allclose(a, b, atol=1e-13)
 
@@ -86,7 +99,7 @@ def test_project_detail_kappa_zero(rng):
 def test_project_detail_kills_coarse(rng):
     g = grid_for(2, degree=(1, 0), level=3)
     f = _random_piecewise(g, (1, 0), (1, 0), rng)
-    out = project_detail(f, (2, 1), (1, 0))
+    out = _detail(f, (2, 1), (1, 0))
     assert _l2(g, out.values) < 1e-12 * _l2(g, f.values)
 
 
@@ -116,13 +129,13 @@ def test_mutual_annihilation(rng):
     norm_f = _l2(g, f.values)
     kappas = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 2)]
     for ka in kappas:
-        ea = project_detail(f, ka, (0, 0))
-        twice = project_detail(ea, ka, (0, 0))
+        ea = _detail(f, ka, (0, 0))
+        twice = _detail(ea, ka, (0, 0))
         assert _l2(g, twice.values - ea.values) < 1e-10 * norm_f
         for kb in kappas:
             if ka == kb:
                 continue
-            cross = project_detail(ea, kb, (0, 0))
+            cross = _detail(ea, kb, (0, 0))
             assert _l2(g, cross.values) < 1e-10 * norm_f
 
 
@@ -132,9 +145,9 @@ def test_self_adjoint_and_orthogonal(rng):
     f = g.function(rng.standard_normal(g.shape))
     h = g.function(rng.standard_normal(g.shape))
     ka, kb = (1, 2), (2, 1)
-    ef, eh = project_detail(f, ka, degs), project_detail(h, ka, degs)
+    ef, eh = _detail(f, ka, degs), _detail(h, ka, degs)
     assert ef.inner(h) == pytest.approx(f.inner(eh), abs=1e-10)
-    assert project_detail(f, ka, degs).inner(project_detail(h, kb, degs)) == pytest.approx(
+    assert _detail(f, ka, degs).inner(_detail(h, kb, degs)) == pytest.approx(
         0.0, abs=1e-10
     )
 
@@ -149,7 +162,7 @@ def test_telescoping(rng):
     from polymra import enum_box
 
     for kappa in enum_box(k):
-        total += project_detail(f, kappa, degs).values
+        total += _detail(f, kappa, degs).values
     level = project_level(f, k, degs).to_grid().values
     assert np.max(np.abs(total - level)) < 1e-10
 
@@ -279,15 +292,18 @@ def test_apply_axis_identity_and_commutation(rng):
     assert np.max(np.abs(ab.values - ba.values)) < 1e-12
 
 
-def test_apply_axis_callable_matches_matrix(rng):
-    g = grid_for(2, degree=0, level=2)
+def test_transform_memory_is_linear_in_the_nodes(rng):
+    # d = 1, K = 10, l = 1: 4096 nodes, 2048 coefficients; a dense per-axis
+    # operator alone would take 64 MB
+    g = grid_for(1, degree=1, level=10)
     f = g.function(rng.standard_normal(g.shape))
-    op = detail_operator_1d(g, 0, 1, 0)
-    a = apply_axis(op, 0, f)
-    b = apply_axis(lambda block: op @ block, 0, f)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-14)
-    with pytest.raises(ValueError):
-        apply_axis(op, 2, f)
+    tracemalloc.start()
+    try:
+        synthesize(analyze(f, ("box", (10,)), (1,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_serialization_roundtrip(rng):

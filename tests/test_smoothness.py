@@ -154,6 +154,26 @@ class TestModulusTable:
                 mixed_modulus(f, 2.0 ** -m, 1, 3.0), abs=1e-14)
 
 
+    @pytest.mark.parametrize("orders", [(0, 2), (2, 1)])
+    def test_matches_brute_force_differences(self, orders):
+        # every step up to the cell count, so the spans l * s reach and pass it
+        rng = np.random.default_rng(11)
+        g = grid_for(2, degree=(1, 0), level=3)
+        f = GridFunction(g, rng.standard_normal(g.shape))
+        cells = g.cells_per_axis
+        norms = np.zeros((cells, cells))
+        for s0 in range(1, cells + 1):
+            for s1 in range(1, cells + 1):
+                diff = mixed_difference_brute(f, (s0, s1), orders)
+                norms[s0 - 1, s1 - 1] = lp_norm(GridFunction(g, diff), 3.0)
+        for axis in (0, 1):
+            norms = np.maximum.accumulate(norms, axis=axis)
+        idx = [2 ** (g.level - m) - 1 for m in range(g.level + 1)]
+        want = norms[np.ix_(idx, idx)]
+        np.testing.assert_allclose(
+            modulus_table(f, orders, 3.0).values, want, rtol=1e-12, atol=0.0)
+
+
 class TestBesovSeminorm:
     def test_zero_and_homogeneity(self):
         g = grid_for(1, degree=1, level=4)
