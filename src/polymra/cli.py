@@ -164,14 +164,13 @@ def _cmd_verify_projectors(args) -> int:
             gaps["reconstruction"], float(np.abs(back.values - f.values).max()) / scale
         )
         level = project_level(f, k, degrees).to_grid()
-        parts = detail_components(dec)
-        total = sum(g.values for g in parts.values())
+        total = sum(g.values for _, g in detail_components(dec))
         gaps["telescoping"] = max(
             gaps["telescoping"], float(np.abs(total - level.values).max()) / scale
         )
     small = grid_for(args.d, degree=degrees, level=2)
     g = random_resolved(small, (2,) * args.d, degrees, rng)
-    parts = detail_components(analyze(g, ("box", (2,) * args.d), degrees))
+    parts = dict(detail_components(analyze(g, ("box", (2,) * args.d), degrees)))
     for ka, ga in parts.items():
         for kb, gb in parts.items():
             if ka < kb:

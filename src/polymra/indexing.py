@@ -8,12 +8,15 @@ is exact (an integer or a dyadic number such as 2.5); a float weight stands
 for every real that rounds to it. kappa is inside when (kappa, lo) <= r
 holds exactly, lo_j being the smallest real that rounds to beta_j, so an
 exact tie survives the rounding of its weights (5 * 0.4 <= 2 although
-float(0.4) > 2/5) and any larger excess is left out. The float sum w
-decides wherever it lies farther from r than its rounding bound
-(d + 1) 2^-52 w; inside that band the comparison is redone exactly. Two
-weights that round to the same float cannot be told apart by any rule.
-enum_cross, enum_shell, counting_ratios and the widths module all use this
-rule.
+float(0.4) > 2/5) and any larger excess is left out. Two weights that round
+to the same float cannot be told apart by any rule. One array rule decides
+membership for every row of an integer array of multi-levels from the float
+weights w = lattice @ beta (cross_contains is its one-row case): w decides
+outside the band |w - r| <= (d + 1) 2^-52 w, and rows inside it are redone
+exactly. The band holds in any summation order: a length-d dot product of
+nonnegative terms lies within d 2^-53 w of its exact value (to first order)
+under any grouping, and (kappa, lo) within 2^-53 w of (kappa, beta): half
+the band. enum_cross, enum_shell, counting_ratios and widths use this rule.
 
 Which slots of a smoothness vector attain its minimum is decided with a
 1e-12 relative tolerance (minimal_slots); the admissible weight sets are
@@ -26,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,11 +156,6 @@ def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(int(x) + 1) for x in k)))
 
 
-def _near(w, r: float, d: int):
-    """Whether the float weighted sum w (or an array of them) is too close to r to decide."""
-    return abs(w - r) <= (d + 1) * _EPS * w
-
-
 def _exactly_inside(kappa: Sequence[int], beta: Sequence[float], r: float) -> bool:
     """(kappa, lo) <= r in exact arithmetic, lo_j the smallest real rounding to beta_j.
 
@@ -177,14 +175,22 @@ def _exactly_inside(kappa: Sequence[int], beta: Sequence[float], r: float) -> bo
     return math.fsum(terms) <= 0.0
 
 
+def _inside(lattice: np.ndarray, w: np.ndarray, beta: Sequence[float], r: float) -> np.ndarray:
+    """Cross membership of each row of an (N, d) integer array; w = lattice @ beta."""
+    inside = w < r
+    for i in np.flatnonzero(np.abs(w - r) <= (len(beta) + 1) * _EPS * w):
+        inside[i] = _exactly_inside(lattice[i].tolist(), beta, r)
+    return inside
+
+
 def cross_contains(kappa: Sequence[int], beta: Sequence[float], r: float) -> bool:
     """Membership in the hyperbolic cross (kappa, beta) <= r, ties included; kappa >= 0."""
+    if len(kappa) != len(beta):
+        raise ValueError(f"kappa has length {len(kappa)} but beta has length {len(beta)}")
     if min(kappa) < 0:
         raise ValueError(f"multi-level entries must be >= 0, got {tuple(kappa)}")
-    w = float(sum(k * b for k, b in zip(kappa, beta)))
-    if _near(w, r, len(beta)):
-        return _exactly_inside(kappa, beta, r)
-    return w < r
+    row = np.array([kappa], dtype=np.int64)
+    return bool(_inside(row, row @ np.asarray(beta, dtype=float), beta, r)[0])
 
 
 def enum_cross(beta: Sequence[float], r: float) -> list[tuple[int, ...]]:
@@ -195,18 +201,17 @@ def enum_cross(beta: Sequence[float], r: float) -> list[tuple[int, ...]]:
     if r < 0:
         return []
     bound = tuple(int(math.floor(r / b + 1e-9)) for b in beta)
-    return [k for k in enum_box(bound) if cross_contains(k, beta, r)]
+    box = enum_box(bound)
+    lattice = np.array(box, dtype=np.int64)
+    return list(itertools.compress(box, _inside(lattice, lattice @ np.asarray(beta), beta, r)))
 
 
 def enum_shell(beta: Sequence[float], s: int) -> list[tuple[int, ...]]:
     """All kappa with s-1 < (kappa, beta) <= s (same tie rule as enum_cross)."""
     if s < 1:
         raise ValueError(f"shell index must be >= 1, got {s}")
-    return [
-        k
-        for k in enum_cross(beta, s)
-        if not cross_contains(k, beta, s - 1)
-    ]
+    inner = set(enum_cross(beta, s - 1))
+    return [k for k in enum_cross(beta, s) if k not in inner]
 
 
 def _lattice(bound: Sequence[int]) -> np.ndarray:
@@ -251,9 +256,7 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     walpha = lattice @ np.asarray(alpha)
     rows = []
     for r in range(1, r_max + 1):
-        inside = wbeta < r
-        for i in np.flatnonzero(_near(wbeta, r, len(beta))):
-            inside[i] = _exactly_inside(lattice[i].tolist(), beta, r)
+        inside = _inside(lattice, wbeta, beta, r)
         grow = float(np.sum(np.exp2(walpha[inside])))
         grow_model = float(2.0 ** (big * r) * r ** (big_mult - 1))
         tail = float(np.sum(np.exp2(-walpha[~inside])))

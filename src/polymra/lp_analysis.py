@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -88,21 +88,14 @@ def random_resolved(grid: Grid, k, degrees, rng: np.random.Generator) -> GridFun
     return project_level(noise, k, degrees).to_grid()
 
 
-def detail_components(dec: Decomposition) -> dict[tuple[int, ...], GridFunction]:
-    """Each block of a decomposition synthesized on its own."""
-    out = {}
+def detail_components(dec: Decomposition) -> Iterator[tuple[tuple[int, ...], GridFunction]]:
+    """Each block synthesized on its own, one at a time, as (kappa, function) pairs."""
     for kappa, block in dec.blocks.items():
-        single = Decomposition(
-            grid=dec.grid,
-            degrees=dec.degrees,
-            index_set=("custom", (kappa,)),
-            blocks={kappa: block},
-        )
-        out[kappa] = synthesize(single)
-    return out
+        single = Decomposition(dec.grid, dec.degrees, ("custom", (kappa,)), {kappa: block})
+        yield kappa, synthesize(single)
 
 
-def _root_sum_squares(grid: Grid, parts) -> GridFunction:
+def _root_sum_squares(grid: Grid, parts: Iterable[GridFunction]) -> GridFunction:
     acc = np.zeros(grid.shape)
     for part in parts:
         acc += part.values ** 2
@@ -111,7 +104,7 @@ def _root_sum_squares(grid: Grid, parts) -> GridFunction:
 
 def square_function(dec: Decomposition) -> GridFunction:
     """Pointwise l2 norm across blocks: sqrt(sum_kappa (detail_kappa(x))^2)."""
-    return _root_sum_squares(dec.grid, detail_components(dec).values())
+    return _root_sum_squares(dec.grid, (g for _, g in detail_components(dec)))
 
 
 def _norm_ratios(dec: Decomposition, p: float) -> tuple[float, float, float]:
@@ -120,15 +113,22 @@ def _norm_ratios(dec: Decomposition, p: float) -> tuple[float, float, float]:
     f_k is the synthesized decomposition; the square-function ratio is
     ||S f_k||_p / ||f_k||_p and the p*-aggregate ratio is
     ||f_k||_p / (sum_kappa ||detail_kappa||_p^(p*))^(1/p*) with p* = min(2, p).
-    Every detail component is synthesized once and feeds both ratios.
+    One pass over the components feeds both ratios, one component alive at a time.
     """
-    parts = detail_components(dec)
+    norms = []
+
+    def measured():
+        for _, g in detail_components(dec):
+            norms.append(lp_norm(g, p))
+            yield g
+
+    square_fn = _root_sum_squares(dec.grid, measured())
     norm_p = lp_norm(synthesize(dec), p)
     pstar = min(2.0, p)
-    agg = sum(lp_norm(g, p) ** pstar for g in parts.values()) ** (1.0 / pstar)
+    agg = sum(n ** pstar for n in norms) ** (1.0 / pstar)
     if norm_p == 0.0 or agg == 0.0:
         raise ValueError("zero function has no norm ratio")
-    square = lp_norm(_root_sum_squares(dec.grid, parts.values()), p) / norm_p
+    square = lp_norm(square_fn, p) / norm_p
     return norm_p, square, norm_p / agg
 
 

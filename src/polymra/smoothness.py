@@ -278,7 +278,7 @@ def decay_check(f: GridFunction, params: SmoothnessParams, q: float) -> dict:
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     shift = max(0.0, 1.0 / params.p - inv_q)
     out = {}
-    for kappa, gk in detail_components(dec).items():
+    for kappa, gk in detail_components(dec):
         if all(k == 0 for k in kappa):
             continue
         expo = sum(k * (a - shift) for k, a in zip(kappa, params.alpha))
@@ -300,7 +300,7 @@ def synthesize_extremal(params: SmoothnessParams, level: int, seed) -> GridFunct
     noise = GridFunction(grid, rng.standard_normal(grid.shape))
     dec = analyze(noise, ("box", (level,) * d), degrees)
     out = np.zeros(grid.shape)
-    for kappa, gk in detail_components(dec).items():
+    for kappa, gk in detail_components(dec):
         nrm = lp_norm(gk, params.p)
         if nrm == 0.0:
             raise ValueError(f"degenerate random draw: block {kappa} vanished")

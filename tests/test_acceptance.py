@@ -47,7 +47,7 @@ def test_criterion_01_parseval_identity():
 
 def _details(f, kappas, degs):
     # the library route: every analysed block synthesized on its own
-    return detail_components(analyze(f, list(kappas), degs))
+    return dict(detail_components(analyze(f, list(kappas), degs)))
 
 
 def test_criterion_02_projector_algebra():

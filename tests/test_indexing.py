@@ -232,3 +232,10 @@ def test_rounded_weight_keeps_its_tie():
 def test_cross_contains_rejects_negative_levels():
     with pytest.raises(ValueError):
         cross_contains((-1, 2), (1.0, 1.0), 1)
+
+
+def test_cross_contains_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="length 2.*length 1"):
+        cross_contains((1, 2), (1.0,), 3)
+    with pytest.raises(ValueError, match="length 1.*length 2"):
+        cross_contains((5,), (1.0, 1.0), 3)

@@ -127,7 +127,7 @@ def test_sign_series_mapping_signs(rng):
     got = sign_series(f, signs, 3.0, (1, 1), (0, 0))
     from polymra.lp_analysis import detail_components
 
-    parts = detail_components(analyze(f, ("box", (1, 1)), (0, 0)))
+    parts = dict(detail_components(analyze(f, ("box", (1, 1)), (0, 0))))
     acc = sum(signs[k] * v.values for k, v in parts.items())
     assert got == pytest.approx(lp_norm(g.function(acc), 3.0), rel=1e-12)
     with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ def _l2(grid, values):
 def _detail(f, kappa, degs):
     # the library's detail projection: one analysed block synthesized on its own
     kappa = tuple(kappa)
-    return detail_components(analyze(f, [kappa], degs))[kappa]
+    return dict(detail_components(analyze(f, [kappa], degs)))[kappa]
 
 
 def _random_piecewise(grid, kappa, degs, rng):

@@ -1,6 +1,7 @@
 """Mixed differences, moduli, smoothness seminorms, extremal synthesis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymra.grid import GridFunction, grid_for, lp_norm
-from polymra.lp_analysis import detail_components
+from polymra.lp_analysis import detail_components, lp_equivalence
 from polymra.projectors import Decomposition, analyze, synthesize
 from polymra.smoothness import (
     ModulusTable,
@@ -233,7 +234,7 @@ class TestDecayCheck:
         g = grid_for(1, degree=1, level=4)
         params = SmoothnessParams((1.0,), p=2.0)
         f = synthesize_extremal(params, 4, seed=2)
-        comps = detail_components(analyze(f, ("box", (4,)), (1,)))
+        comps = dict(detail_components(analyze(f, ("box", (4,)), (1,))))
         r2 = decay_check(f, params, 2.0)
         r4 = decay_check(f, params, 4.0)
         r1 = decay_check(f, params, 1.0)
@@ -296,3 +297,24 @@ class TestSynthesizeExtremal:
         for kappa, r in ratios.items():
             assert r == pytest.approx(1.0, abs=1e-6)
         assert f.grid.d == 2 and f.grid.level == 3
+
+
+def test_component_consumers_hold_a_few_blocks_at_a_time():
+    # d = 2 at level 5: 36 detail blocks; each consumer folds over them one
+    # at a time, so its peak stays a few grid functions, not one per block
+    params = SmoothnessParams((1.0, 1.0))
+    f = synthesize_extremal(params, 5, 0)
+    grid_bytes = f.values.nbytes
+    calls = {
+        "synthesize_extremal": lambda: synthesize_extremal(params, 5, 0),
+        "decay_check": lambda: decay_check(f, params, 3.0),
+        "lp_equivalence": lambda: lp_equivalence(f, 3.0, (5, 5), (1, 1)),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid_bytes, (name, peak / grid_bytes)
