@@ -113,17 +113,20 @@ def _norm_ratios(dec: Decomposition, p: float) -> tuple[float, float, float]:
     f_k is the synthesized decomposition; the square-function ratio is
     ||S f_k||_p / ||f_k||_p and the p*-aggregate ratio is
     ||f_k||_p / (sum_kappa ||detail_kappa||_p^(p*))^(1/p*) with p* = min(2, p).
-    One pass over the components feeds both ratios, one component alive at a time.
+    One pass over the components feeds both ratios, one component alive at a
+    time; their running sum is f_k, since the blocks cover the decomposition.
     """
     norms = []
+    total = np.zeros(dec.grid.shape)
 
     def measured():
         for _, g in detail_components(dec):
             norms.append(lp_norm(g, p))
+            np.add(total, g.values, out=total)
             yield g
 
     square_fn = _root_sum_squares(dec.grid, measured())
-    norm_p = lp_norm(synthesize(dec), p)
+    norm_p = lp_norm(GridFunction(dec.grid, total), p)
     pstar = min(2.0, p)
     agg = sum(n ** pstar for n in norms) ** (1.0 / pstar)
     if norm_p == 0.0 or agg == 0.0:

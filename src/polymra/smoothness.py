@@ -84,28 +84,33 @@ def _order_vec(value, d: int) -> tuple[int, ...]:
 
 def _axis_difference(values: np.ndarray, grid: Grid, axis: int, order: int,
                      shift: int) -> np.ndarray:
-    """Finite difference of one axis with a whole-cell step, zero off its domain."""
-    if order == 0:
-        return values
-    if shift == 0:
-        return np.zeros_like(values)
-    cells = grid.cells_per_axis
-    span = order * abs(shift)
-    if span >= cells:
-        return np.zeros_like(values)
+    """Finite difference along one axis with a whole-cell step, on its valid slab only.
+
+    The slab is the cells - order*|shift| whole cells where every shifted
+    node stays in the cube; for order > 0 the span order*|shift| must lie
+    strictly between 0 and the cell count.  The slab starts at cell 0 for
+    a positive step and at cell order*|shift| for a negative one.  The
+    result is a new array with the input's shape except along the axis;
+    order 0 returns a copy.
+    """
     n = grid.nodes_per_cell[axis]
-    count = cells - span
-    base = 0 if shift > 0 else span
-    out = np.zeros_like(values)
-    dest = [slice(None)] * values.ndim
-    dest[axis] = slice(base * n, (base + count) * n)
-    dest = tuple(dest)
+    count = grid.cells_per_axis - order * abs(shift)
+    base = 0 if shift > 0 else order * abs(shift)
+    src = [slice(None)] * values.ndim
+    out = None
     for k in range(order + 1):
         w = (-1) ** (order - k) * math.comb(order, k)
         lo = (base + k * shift) * n
-        src = [slice(None)] * values.ndim
         src[axis] = slice(lo, lo + count * n)
-        out[dest] += w * values[tuple(src)]
+        term = values[tuple(src)]
+        if out is None:
+            out = w * term
+        elif w == 1:
+            out += term
+        elif w == -1:
+            out -= term
+        else:
+            out += w * term
     return out
 
 
@@ -119,32 +124,63 @@ def mixed_difference(f: GridFunction, h, l) -> GridFunction:
     grid = f.grid
     hv = _float_vec(h, grid.d, "h")
     lv = _order_vec(l, grid.d)
-    out = f.values
+    out = np.zeros(grid.shape)
+    slab = f.values
+    dest = []
     for axis in range(grid.d):
         shift = int(round(hv[axis] * grid.cells_per_axis))
-        out = _axis_difference(out, grid, axis, lv[axis], shift)
-    if out is f.values:
-        out = out.copy()
+        span = lv[axis] * abs(shift)
+        if lv[axis] > 0 and not 0 < span < grid.cells_per_axis:
+            return GridFunction(grid, out)
+        slab = _axis_difference(slab, grid, axis, lv[axis], shift)
+        lo = (span if shift < 0 else 0) * grid.nodes_per_cell[axis]
+        dest.append(slice(lo, lo + slab.shape[axis]))
+    out[tuple(dest)] = slab
     return GridFunction(grid, out)
+
+
+def _slab_norm(slab: np.ndarray, grid: Grid, p: float) -> float:
+    """Quadrature L_p norm of a function that vanishes off a box of whole cells.
+
+    slab holds its values on the box and is overwritten.  The axis weights
+    repeat cell by cell, so the leading entries of each one integrate a
+    whole-cell run wherever it sits.
+    """
+    if p != np.inf and p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    np.abs(slab, out=slab)
+    if p == np.inf:
+        return float(np.max(slab))
+    slab **= p
+    for j in reversed(range(slab.ndim)):
+        weights = grid.axis_weights[j][: slab.shape[j]]
+        slab = np.tensordot(slab, weights, axes=([slab.ndim - 1], [0]))
+    return float(slab) ** (1.0 / p)
 
 
 def _fill_norms(values: np.ndarray, grid: Grid, l: tuple[int, ...], p: float,
                 axes: tuple[int, ...], smax: tuple[int, ...], out: np.ndarray) -> None:
     """Difference norms for every step vector up to smax into the zeroed array out.
 
-    Steps whose span l * s reaches the cell count leave an empty domain:
-    the difference is the zero function, its entry stays 0 and is skipped.
+    Each difference along axes[0] is taken on its valid slab, and the
+    differences along the remaining axes act on that slab.  Steps whose
+    span l * s reaches the cell count leave an empty domain: the
+    difference is the zero function, its entry stays 0 and is skipped.
+    An order-0 axis is the identity, so its sub-table is the same for
+    every step and is computed once.
     """
     axis = axes[0]
-    last = smax[0]
-    if l[axis] > 0:
-        last = min(last, (grid.cells_per_axis - 1) // l[axis])
-    for s in range(1, last + 1):
-        diff = _axis_difference(values, grid, axis, l[axis], s)
+    order = l[axis]
+    steps = 1 if order == 0 else min(smax[0], (grid.cells_per_axis - 1) // order)
+    for s in range(1, steps + 1):
+        diff = _axis_difference(values, grid, axis, order, s)
         if len(axes) == 1:
-            out[s - 1] = lp_norm(GridFunction(grid, diff), p)
+            out[s - 1] = _slab_norm(diff, grid, p)
         else:
             _fill_norms(diff, grid, l, p, axes[1:], smax[1:], out[s - 1])
+        del diff  # free this slab before the next step allocates its own
+    if order == 0:
+        out[1:] = out[0]
 
 
 def _resolve_axes(axes, d: int) -> tuple[int, ...]:
@@ -193,7 +229,20 @@ class ModulusTable:
 
 
 def modulus_table(f: GridFunction, l, p: float, axes=None) -> ModulusTable:
-    """Modulus of continuity tabulated over all dyadic scale vectors at once."""
+    """Modulus of continuity tabulated over all dyadic scale vectors at once.
+
+    Cost, with C cells per axis and N grid nodes: one difference norm per
+    step vector s with l_j s_j < C on every axis j of J, about
+    prod_j C / l_j norms (an order-0 axis is the identity and counts one
+    step).  Each difference and its norm touch only the slab where the
+    difference is defined: C - l_j s_j cells along each j in J and the
+    whole axis elsewhere.  A norm thus visits about N / 2^|J| nodes on
+    average and the table about N prod_j C / (2 l_j) nodes in all; a
+    difference along axis j reads l_j + 1 shifted windows of its input.
+    Peak memory, besides f and the C^|J| table: the nested slabs, one per
+    axis of J, plus one product buffer for a binomial weight other than
+    +-1, so at most |J| + 1 grid functions.
+    """
     grid = f.grid
     J = _resolve_axes(axes, grid.d)
     lv = _order_vec(l, grid.d)

@@ -14,6 +14,7 @@ from polymra.projectors import Decomposition, analyze, synthesize
 from polymra.smoothness import (
     ModulusTable,
     SmoothnessParams,
+    _fill_norms,
     besov_seminorm,
     decay_check,
     mixed_difference,
@@ -73,6 +74,20 @@ class TestMixedDifference:
             got = mixed_difference(f, h, orders).values
             want = mixed_difference_brute(f, shifts, orders)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_negative_steps_match_brute_force_3d(self):
+        # mixed node counts per axis; spans up to and past the cell count
+        g = grid_for(3, degree=(0, 1, 2), level=3)
+        f = GridFunction(g, np.random.default_rng(8).standard_normal(g.shape))
+        cases = (((-3, 2, -1), (1, 0, 2)), ((2, -5, 3), (2, 1, 1)),
+                 ((-1, -1, -2), (3, 2, 1)), ((-4, 1, 1), (2, 1, 1)))
+        for shifts, orders in cases:
+            h = tuple(s / 8 for s in shifts)
+            got = mixed_difference(f, h, orders).values
+            want = mixed_difference_brute(f, shifts, orders)
+            assert got.shape == g.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.all(got[want == 0.0] == 0.0)
 
     def test_snapping_and_degenerate_cases(self):
         g = grid_for(1, degree=0)
@@ -154,6 +169,44 @@ class TestModulusTable:
             assert table.values[m] == pytest.approx(
                 mixed_modulus(f, 2.0 ** -m, 1, 3.0), abs=1e-14)
 
+
+    @pytest.mark.parametrize("p", [1.0, 2.5, math.inf])
+    def test_axis_subset_matches_brute_force_at_every_step(self, p):
+        # d = 3 with 2, 4 and 6 nodes per cell; the differences run along
+        # axes 0 and 2 only, so axis 1 keeps its whole length in every slab;
+        # an order-0 axis 0 must give the same norms at every step
+        rng = np.random.default_rng(23)
+        g = grid_for(3, degree=(0, 1, 2), level=3)
+        f = GridFunction(g, rng.standard_normal(g.shape))
+        cells = g.cells_per_axis
+        idx = [2 ** (g.level - m) - 1 for m in range(g.level + 1)]
+        for orders in ((2, 5, 1), (0, 5, 1)):
+            norms = np.zeros((cells, cells))
+            for s0 in range(1, cells + 1):
+                for s2 in range(1, cells + 1):
+                    diff = mixed_difference_brute(f, (s0, 1, s2), (orders[0], 0, orders[2]))
+                    norms[s0 - 1, s2 - 1] = lp_norm(GridFunction(g, diff), p)
+            got = np.zeros((cells, cells))
+            _fill_norms(f.values, g, orders, p, (0, 2), (cells, cells), got)
+            np.testing.assert_allclose(got, norms, rtol=1e-12, atol=0.0)
+            for axis in (0, 1):
+                norms = np.maximum.accumulate(norms, axis=axis)
+            table = modulus_table(f, orders, p, axes=(0, 2))
+            assert table.axes == (0, 2)
+            np.testing.assert_allclose(
+                table.values, norms[np.ix_(idx, idx)], rtol=1e-12, atol=0.0)
+
+    def test_memory_stays_below_four_grid_functions(self):
+        # each difference lives on its valid slab and is accumulated in place
+        g = grid_for(2, degree=(0, 1), level=6)
+        f = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
+        tracemalloc.start()
+        try:
+            modulus_table(f, (1, 2), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * f.values.nbytes, peak / f.values.nbytes
 
     @pytest.mark.parametrize("orders", [(0, 2), (2, 1)])
     def test_matches_brute_force_differences(self, orders):
