@@ -20,6 +20,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "LocalPoly",
+    "box_lp_norm",
     "grid_for",
     "local_project",
     "lp_norm",
@@ -94,9 +95,15 @@ class Grid:
         return GridFunction(self, np.array(values, dtype=float))
 
     def integrate(self, values: np.ndarray) -> float:
+        """Quadrature integral of nodal values on the grid or on a box of whole cells.
+
+        A shorter axis holds a whole-cell run of nodes of a function that
+        vanishes off it; the axis weights repeat cell by cell, so their
+        leading entries integrate the run wherever it sits.
+        """
         out = np.asarray(values, dtype=float)
         for w in reversed(self.axis_weights):
-            out = np.tensordot(out, w, axes=([out.ndim - 1], [0]))
+            out = np.tensordot(out, w[: out.shape[-1]], axes=([out.ndim - 1], [0]))
         return float(out)
 
     def cube_slices(self, cube) -> tuple[slice, ...]:
@@ -193,13 +200,20 @@ class GridFunction:
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Quadrature L_p norm on the unit cube; p = inf gives the grid sup (diagnostic only)."""
+    return box_lp_norm(f.grid, np.abs(f.values), p)
+
+
+def box_lp_norm(grid: Grid, magnitudes: np.ndarray, p: float) -> float:
+    """Quadrature L_p norm of f from |f| on the grid or on a box of whole cells.
+
+    Off the box f vanishes (see Grid.integrate); magnitudes is overwritten.
+    """
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == np.inf:
-        return float(np.max(np.abs(f.values)))
-    powered = np.abs(f.values)
-    powered **= p
-    return f.grid.integrate(powered) ** (1.0 / p)
+        return float(np.max(magnitudes))
+    magnitudes **= p
+    return grid.integrate(magnitudes) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, grid_for, lp_norm
+from .grid import Grid, GridFunction, box_lp_norm, grid_for, lp_norm
 from .lp_analysis import detail_components
 from .projectors import analyze
 
@@ -82,20 +82,31 @@ def _order_vec(value, d: int) -> tuple[int, ...]:
     return out
 
 
+def _slab(grid: Grid, order: int, shift: int) -> tuple[int, int]:
+    """First cell and cell count of the valid slab of a difference along one axis.
+
+    The slab holds the whole cells where every node shifted by up to
+    order steps of shift cells stays in the cube: cells - order*|shift|
+    cells, from cell 0 for a positive step and from cell order*|shift|
+    for a negative one.  A span reaching the cell count leaves no slab,
+    and a zero step of positive order gives the zero difference: both
+    have count 0.
+    """
+    span = order * abs(shift)
+    if order > 0 and not 0 < span < grid.cells_per_axis:
+        return 0, 0
+    return (span if shift < 0 else 0), grid.cells_per_axis - span
+
+
 def _axis_difference(values: np.ndarray, grid: Grid, axis: int, order: int,
                      shift: int) -> np.ndarray:
     """Finite difference along one axis with a whole-cell step, on its valid slab only.
 
-    The slab is the cells - order*|shift| whole cells where every shifted
-    node stays in the cube; for order > 0 the span order*|shift| must lie
-    strictly between 0 and the cell count.  The slab starts at cell 0 for
-    a positive step and at cell order*|shift| for a negative one.  The
-    result is a new array with the input's shape except along the axis;
-    order 0 returns a copy.
+    The slab (see _slab) must be nonempty.  The result is a new array with
+    the input's shape except along the axis; order 0 returns a copy.
     """
     n = grid.nodes_per_cell[axis]
-    count = grid.cells_per_axis - order * abs(shift)
-    base = 0 if shift > 0 else order * abs(shift)
+    base, count = _slab(grid, order, shift)
     src = [slice(None)] * values.ndim
     out = None
     for k in range(order + 1):
@@ -105,7 +116,7 @@ def _axis_difference(values: np.ndarray, grid: Grid, axis: int, order: int,
         term = values[tuple(src)]
         if out is None:
             out = w * term
-        elif w == 1:
+        elif w == 1:  # +-1 weights add in place without a product buffer
             out += term
         elif w == -1:
             out -= term
@@ -129,33 +140,14 @@ def mixed_difference(f: GridFunction, h, l) -> GridFunction:
     dest = []
     for axis in range(grid.d):
         shift = int(round(hv[axis] * grid.cells_per_axis))
-        span = lv[axis] * abs(shift)
-        if lv[axis] > 0 and not 0 < span < grid.cells_per_axis:
+        base, count = _slab(grid, lv[axis], shift)
+        if count == 0:
             return GridFunction(grid, out)
         slab = _axis_difference(slab, grid, axis, lv[axis], shift)
-        lo = (span if shift < 0 else 0) * grid.nodes_per_cell[axis]
-        dest.append(slice(lo, lo + slab.shape[axis]))
+        n = grid.nodes_per_cell[axis]
+        dest.append(slice(base * n, (base + count) * n))
     out[tuple(dest)] = slab
     return GridFunction(grid, out)
-
-
-def _slab_norm(slab: np.ndarray, grid: Grid, p: float) -> float:
-    """Quadrature L_p norm of a function that vanishes off a box of whole cells.
-
-    slab holds its values on the box and is overwritten.  The axis weights
-    repeat cell by cell, so the leading entries of each one integrate a
-    whole-cell run wherever it sits.
-    """
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    np.abs(slab, out=slab)
-    if p == np.inf:
-        return float(np.max(slab))
-    slab **= p
-    for j in reversed(range(slab.ndim)):
-        weights = grid.axis_weights[j][: slab.shape[j]]
-        slab = np.tensordot(slab, weights, axes=([slab.ndim - 1], [0]))
-    return float(slab) ** (1.0 / p)
 
 
 def _fill_norms(values: np.ndarray, grid: Grid, l: tuple[int, ...], p: float,
@@ -175,7 +167,8 @@ def _fill_norms(values: np.ndarray, grid: Grid, l: tuple[int, ...], p: float,
     for s in range(1, steps + 1):
         diff = _axis_difference(values, grid, axis, order, s)
         if len(axes) == 1:
-            out[s - 1] = _slab_norm(diff, grid, p)
+            np.abs(diff, out=diff)
+            out[s - 1] = box_lp_norm(grid, diff, p)
         else:
             _fill_norms(diff, grid, l, p, axes[1:], smax[1:], out[s - 1])
         del diff  # free this slab before the next step allocates its own
