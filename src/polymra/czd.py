@@ -11,6 +11,7 @@ never hinge on float rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +32,9 @@ __all__ = [
     "cz_split",
     "cz_constants",
 ]
+
+# entries per tile array of maximal_function: centres times kept offsets
+_TILE_FLOATS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,6 @@ class CellSet:
         return [DyadicCube(lev, tuple(int(v) for v in nu)) for nu in np.argwhere(self.mask)]
 
 
-def _node_coords(grid: Grid) -> np.ndarray:
-    return np.stack(np.meshgrid(*grid.axis_nodes, indexing="ij"), axis=-1).reshape(-1, grid.d)
-
-
 def _node_weights(grid: Grid) -> np.ndarray:
     w = grid.axis_weights[0]
     for aw in grid.axis_weights[1:]:
@@ -89,6 +89,14 @@ def _ball_measure(d: int, radii: np.ndarray) -> np.ndarray:
     return np.pi * radii ** 2
 
 
+def _outer_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """Flat row-major table of parts[0][i0] + parts[1][i1] + ..., summed in axis order."""
+    out = parts[0]
+    for part in parts[1:]:
+        out = np.add.outer(out, part)
+    return out.ravel()
+
+
 def maximal_function(f: GridFunction) -> GridFunction:
     """Grid Hardy-Littlewood maximal function with Euclidean balls.
 
@@ -100,28 +108,74 @@ def maximal_function(f: GridFunction) -> GridFunction:
     at least one quadrature cell wide.  Edge cells lend the ball their whole
     quadrature weight, so the denominator is floored by the covered weight;
     without that floor a constant would overshoot its own sup.
+
+    Nodes enter the ball by distance, equidistant nodes in row-major node
+    order.  Per axis, the displacement from a centre in cell c0 at Gauss
+    index a to a node in cell c at index b is ((c - c0) + (g[b] - g[a])) / C
+    with C = 2^K cells per axis; it depends only on (c - c0, b).  So the
+    centres sharing the Gauss index tuple a share one table of the
+    (2C-1)^d n^d offsets, sorted once.  Centres go in tiles of B^d cells;
+    a tile gathers w |f| and w along the table entries that reach the grid
+    from some centre of the tile, out of copies zero-padded by C-1 cells
+    per side, and takes the sup over their running sums.  A padded node
+    adds nothing to either sum and only widens the ball, so it never
+    raises the sup.
+
+    Cost: n^d sorts of (2C-1)^d n^d entries, plus gathers and running sums
+    over about N (C+B-1)^d n^d entries for the N nodes.  Memory in floats:
+    two padded copies of (3C-2)^d n^d each, about 2d+5 arrays of the table
+    length (2C-1)^d n^d, and per tile three arrays of at most
+    _TILE_FLOATS = 2^17 entries, the bound that picks B.
     """
     grid = f.grid
-    if grid.d > 2:
+    d = grid.d
+    if d > 2:
         raise NotImplementedError("maximal function is implemented for d <= 2 only")
-    coords = _node_coords(grid)
-    w = _node_weights(grid)
-    wf = w * np.abs(f.values).reshape(-1)
-    n = coords.shape[0]
-    r_min = math.sqrt(grid.d) * 2.0 ** -grid.level
-    out = np.empty(n)
-    # chunked pairwise distances keep memory at chunk * n floats
-    chunk = max(1, min(n, 2 ** 22 // n))
-    for start in range(0, n, chunk):
-        block = coords[start:start + chunk]
-        diff = block[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        order = np.argsort(dist, axis=1)
-        radii = np.maximum(np.take_along_axis(dist, order, axis=1), r_min)
-        mass = np.cumsum(wf[order], axis=1)
-        denom = np.maximum(_ball_measure(grid.d, radii), np.cumsum(w[order], axis=1))
-        out[start:start + chunk] = (mass / denom).max(axis=1)
-    return GridFunction(grid, out.reshape(grid.shape))
+    cells = grid.cells_per_axis
+    nodes = grid.nodes_per_cell
+    r_min = math.sqrt(d) * 2.0 ** -grid.level
+    w = _node_weights(grid).reshape(grid.shape)
+    pad = [((cells - 1) * n,) * 2 for n in nodes]
+    w_pad = np.pad(w, pad)
+    strides = [s // w_pad.itemsize for s in w_pad.strides]
+    w_pad = w_pad.ravel()
+    wf_pad = np.pad(w * np.abs(f.values), pad).ravel()
+
+    # per axis, offset o = (dc + C - 1) n + b holds the cell shift dc and the
+    # Gauss index b; from a centre in cell c0 it reaches padded node c0 n + o
+    shifts = [np.repeat(np.arange(1 - cells, cells), n) for n in nodes]
+    gauss = [x[:n] * cells for x, n in zip(grid.axis_nodes, nodes)]
+    entry_pad = _outer_sum([np.arange(len(s)) * st for s, st in zip(shifts, strides)])
+    entry_shift = [m.ravel() for m in np.meshgrid(*shifts, indexing="ij")]
+    # largest power-of-two tile side whose (centres, kept offsets) arrays fit
+    side = cells
+    while side > 1 and (side * (cells + side - 1)) ** d * math.prod(nodes) > _TILE_FLOATS:
+        side //= 2
+    out = np.empty(grid.shape)
+    for a in np.ndindex(*nodes):
+        disp = [(s + (np.tile(g, 2 * cells - 1) - g[aj])) / cells
+                for s, g, aj in zip(shifts, gauss, a)]
+        dist = np.sqrt(_outer_sum([x ** 2 for x in disp]))
+        order = np.argsort(dist, kind="stable")
+        ball = _ball_measure(d, np.maximum(dist[order], r_min))
+        table_pad = entry_pad[order]
+        table_shift = [s[order] for s in entry_shift]
+        for lo in itertools.product(range(0, cells, side), repeat=d):
+            # entries that reach the grid from at least one centre of the tile
+            kept = np.flatnonzero(np.logical_and.reduce(
+                [(s > -lo_j - side) & (s < cells - lo_j) for s, lo_j in zip(table_shift, lo)]
+            ))
+            centres = _outer_sum([np.arange(lo_j, lo_j + side) * (n * st)
+                                  for lo_j, n, st in zip(lo, nodes, strides)])
+            take = centres[:, None] + table_pad[kept]
+            mass, cover = wf_pad[take], w_pad[take]
+            np.cumsum(mass, axis=1, out=mass)
+            np.cumsum(cover, axis=1, out=cover)
+            mass /= np.maximum(cover, ball[kept], out=cover)
+            at = tuple(slice(lo_j * n + aj, (lo_j + side) * n, n)
+                       for lo_j, n, aj in zip(lo, nodes, a))
+            out[at] = mass.max(axis=1).reshape((side,) * d)
+    return GridFunction(grid, out)
 
 
 def level_set_measure(h: GridFunction, alpha: float) -> float:
@@ -262,6 +316,12 @@ def whitney(F: CellSet, *, surround: bool = True) -> WhitneyDecomposition:
     return dec
 
 
+def _cube_average(weights: np.ndarray, values: np.ndarray, sel: tuple[slice, ...]) -> float:
+    """Quadrature average of nodal values over the nodes sel of one cube."""
+    w = weights[sel]
+    return float((w * values[sel]).sum() / w.sum())
+
+
 @dataclass
 class CZSplit:
     """Good/bad splitting of a grid function at a height alpha.
@@ -301,8 +361,7 @@ def cz_split(f: GridFunction, alpha: float) -> tuple[CellSet, WhitneyDecompositi
     blocks: list[tuple[DyadicCube, GridFunction]] = []
     for cube in dec.cubes:
         sel = grid.cube_slices(cube)
-        w = weights[sel]
-        avg = float((w * f.values[sel]).sum() / w.sum())
+        avg = _cube_average(weights, f.values, sel)
         h = np.zeros(grid.shape)
         h[sel] = f.values[sel] - avg
         g[sel] = avg
@@ -320,12 +379,11 @@ def cz_constants(f: GridFunction, alpha: float) -> dict:
     Mf = maximal_function(f)
     F, dec, split = cz_split(f, alpha)
     l1 = f.lp_norm(1.0)
-    absf = GridFunction(f.grid, np.abs(f.values))
+    weights = _node_weights(f.grid).reshape(f.grid.shape)
+    absf = np.abs(f.values)
     avg_max = 0.0
     for cube in dec.cubes:
-        sel = f.grid.cube_slices(cube)
-        w = _node_weights(f.grid).reshape(f.grid.shape)[sel]
-        avg_max = max(avg_max, float((w * absf.values[sel]).sum() / w.sum()))
+        avg_max = max(avg_max, _cube_average(weights, absf, f.grid.cube_slices(cube)))
     return {
         "weak11": level_set_measure(Mf, alpha) * alpha / l1,
         "complement_measure": float(F.complement().measure()) * alpha / l1,

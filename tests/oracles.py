@@ -315,3 +315,37 @@ def cross_tail_sq_brute(alpha, beta, r, box=None):
             continue
         total += 4.0 ** -sum(k * a for k, a in zip(kappa, alpha))
     return total
+
+
+def maximal_function_brute(f):
+    """Grid maximal function node by node over all N nodes, shape of f.values.
+
+    Each node sorts its distances to every node with a stable argsort, so
+    equidistant nodes enter the ball in row-major node order, then takes
+    the sup over the prefixes of mass / max(ball measure, covered weight).
+    Per axis the displacement to a node in cell c at Gauss index b is
+    ((c - c0) + (g[b] - g[a])) / C from the centre's cell c0 and index a.
+    """
+    grid = f.grid
+    d, C = grid.d, grid.cells_per_axis
+    gauss = [x[:n] * C for x, n in zip(grid.axis_nodes, grid.nodes_per_cell)]
+    w = grid.axis_weights[0]
+    for aw in grid.axis_weights[1:]:
+        w = np.multiply.outer(w, aw)
+    w = w.reshape(-1)
+    wf = w * np.abs(f.values).reshape(-1)
+    r_min = math.sqrt(d) * 2.0 ** -grid.level
+    out = np.empty(w.size)
+    for flat, node in enumerate(itertools.product(*(range(m) for m in grid.shape))):
+        dist2 = 0.0
+        for j, (i, n) in enumerate(zip(node, grid.nodes_per_cell)):
+            idx = np.arange(grid.shape[j])
+            disp = ((idx // n - i // n) + (gauss[j][idx % n] - gauss[j][i % n])) / C
+            dist2 = np.add.outer(dist2, disp ** 2) if j else disp ** 2
+        dist = np.sqrt(dist2).reshape(-1)
+        order = np.argsort(dist, kind="stable")
+        radii = np.maximum(dist[order], r_min)
+        ball = 2.0 * radii if d == 1 else np.pi * radii ** 2
+        mass = np.cumsum(wf[order])
+        out[flat] = (mass / np.maximum(ball, np.cumsum(w[order]))).max()
+    return out.reshape(grid.shape)

@@ -16,6 +16,7 @@ from polymra.widths import WidthExperimentConfig, rate_fit, width_experiment
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINES = os.path.join(ROOT, "baselines", "empirical.json")
 GOLDEN_CZD = os.path.join(ROOT, "baselines", "golden_czd_demo.csv")
+REFERENCE_CZD_2D = os.path.join(ROOT, "perfbench", "reference", "czd.csv")
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,14 @@ class TestGoldenReport:
         with open(GOLDEN_CZD) as fh:
             golden = fh.read()
         assert (tmp_path / "fresh.csv").read_text() == golden
+
+    def test_czd_square_demo_matches_reference(self, capsys, tmp_path):
+        # the benchmark's czd report: the only d=2 Whitney/maximal-function report
+        code = main(
+            ["czd", "--d", "2", "--demo", "bump", "--alpha", "0.5", "--K", "4",
+             "--out", str(tmp_path / "fresh.csv")]
+        )
+        assert code == 0
+        with open(REFERENCE_CZD_2D) as fh:
+            reference = fh.read()
+        assert (tmp_path / "fresh.csv").read_text() == reference

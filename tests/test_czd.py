@@ -1,5 +1,6 @@
 """Maximal function, Whitney decomposition, good/bad splitting."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polymra import czd
 from polymra.czd import (
     CellSet,
     cz_constants,
@@ -19,7 +21,19 @@ from polymra.czd import (
 from polymra.grid import grid_for
 from polymra.indexing import DyadicCube
 
-from oracles import ball_average_brute, whitney_brute
+from oracles import ball_average_brute, maximal_function_brute, whitney_brute
+
+# inputs of the maximal-function oracle check: the CLI demos, signed noise, zero
+_MF_INPUTS = {
+    "bump": lambda g: g.sample(lambda *x: 6.0 * np.exp(-60.0 * sum((xi - 0.5) ** 2 for xi in x))),
+    "step": lambda g: g.sample(lambda *x: 3.0 * (x[0] < 1.0 / 3.0)),
+    "wedge": lambda g: g.sample(lambda *x: 4.0 * math.prod(x)),
+    "random": lambda g: g.function(np.random.default_rng(11).standard_normal(g.shape)),
+    "zeros": lambda g: g.zeros(),
+}
+# tile counts (2^17 budget): one up to d=1 K=7; several at d=1 K=8, d=2 K=3
+# degree 1 and d=2 K=4
+_MF_GRIDS = [(1, K) for K in (0, 1, 5, 7, 8)] + [(2, K) for K in (0, 1, 3, 4)]
 
 
 def _whitney_invariants(F, dec):
@@ -104,6 +118,27 @@ class TestMaximalFunction:
             ratio = M.values[i, j] / (mass / (np.pi * dist ** 2))
             assert 0.9 <= ratio <= 1.3
             assert M.values[i, j] >= ball_average_brute(f, node, dist) - 1e-15
+
+    @pytest.mark.parametrize("degree", (0, 1))
+    @pytest.mark.parametrize("d,K", _MF_GRIDS)
+    def test_matches_all_pairs_oracle(self, d, K, degree):
+        # bit for bit: the same distances, tie order and running sums
+        grid = grid_for(d, degree=degree, level=K)
+        # the O(N^2 log N) oracle on the 4096 nodes of d=2 K=4 degree 1 takes
+        # ~1.5 s per input, so that grid gets the signed noise only
+        names = ["random"] if (d, K, degree) == (2, 4, 1) else list(_MF_INPUTS)
+        for name in names:
+            f = _MF_INPUTS[name](grid)
+            assert np.array_equal(maximal_function(f).values, maximal_function_brute(f)), name
+
+    @pytest.mark.parametrize("budget", (0, 2 ** 40))
+    def test_tile_side_leaves_the_result(self, monkeypatch, budget):
+        # budget 0 gives one-cell tiles, 2^40 one tile for the whole grid;
+        # the Gauss rules differ per axis (2 and 4 nodes)
+        grid = grid_for(2, degree=(0, 1), level=3)
+        f = _MF_INPUTS["random"](grid)
+        monkeypatch.setattr(czd, "_TILE_FLOATS", budget)
+        assert np.array_equal(maximal_function(f).values, maximal_function_brute(f))
 
     def test_rejects_d3(self):
         g = grid_for(3, degree=0, level=1)
