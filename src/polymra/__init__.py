@@ -20,8 +20,7 @@ from .czd import (
     sublevel_cellset,
     whitney,
 )
-from .estimator import MultiwaveletTransform, check_sample_matrix
-from .grid import Grid, GridFunction, LocalPoly, grid_for, local_project, lp_norm
+from .grid import Grid, GridFunction, grid_for, lp_norm
 from .indexing import (
     DyadicCube,
     counting_ratios,
@@ -40,7 +39,6 @@ from .lp_analysis import (
     lp_equivalence,
     lp_report,
     pstar_ratio,
-    rademacher_eval,
     random_resolved,
     sign_series,
     square_function,
@@ -50,11 +48,8 @@ from .projectors import (
     DetailCoeffs,
     PiecewisePoly,
     analyze,
-    analyze_block,
-    load_decomposition,
     parseval_gap,
     project_level,
-    save_decomposition,
     synthesize,
 )
 from .quadrature import gauss_rule, legendre_eval
@@ -63,8 +58,6 @@ from .smoothness import (
     SmoothnessParams,
     besov_seminorm,
     decay_check,
-    mixed_difference,
-    mixed_modulus,
     modulus_table,
     synthesize_extremal,
 )
@@ -74,7 +67,6 @@ from .widths import (
     budget_plan,
     choose_beta,
     rate_fit,
-    tail_bound_check,
     tail_model,
     truncation_error,
     width_experiment,
@@ -86,9 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid",
     "GridFunction",
-    "LocalPoly",
     "grid_for",
-    "local_project",
     "lp_norm",
     "DyadicCube",
     "nesting",
@@ -105,11 +95,8 @@ __all__ = [
     "Decomposition",
     "project_level",
     "analyze",
-    "analyze_block",
     "synthesize",
     "parseval_gap",
-    "save_decomposition",
-    "load_decomposition",
     "SignFamily",
     "LPReport",
     "random_resolved",
@@ -118,7 +105,6 @@ __all__ = [
     "lp_equivalence",
     "sign_series",
     "pstar_ratio",
-    "rademacher_eval",
     "khintchine_check",
     "lp_report",
     "CellSet",
@@ -132,8 +118,6 @@ __all__ = [
     "cz_constants",
     "SmoothnessParams",
     "ModulusTable",
-    "mixed_difference",
-    "mixed_modulus",
     "modulus_table",
     "besov_seminorm",
     "decay_check",
@@ -143,13 +127,10 @@ __all__ = [
     "choose_beta",
     "truncation_error",
     "tail_model",
-    "tail_bound_check",
     "budget_plan",
     "width_model_exponents",
     "width_experiment",
     "rate_fit",
-    "MultiwaveletTransform",
-    "check_sample_matrix",
     "gauss_rule",
     "legendre_eval",
     "__version__",

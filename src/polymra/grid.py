@@ -9,20 +9,17 @@ quadrature degree on cells aligned with the partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .quadrature import gauss_rule, interval_basis_table
+from .quadrature import gauss_rule
 
 __all__ = [
     "Grid",
     "GridFunction",
-    "LocalPoly",
     "box_lp_norm",
     "grid_for",
-    "local_project",
     "lp_norm",
 ]
 
@@ -215,52 +212,3 @@ def box_lp_norm(grid: Grid, magnitudes: np.ndarray, p: float) -> float:
     magnitudes **= p
     return grid.integrate(magnitudes) ** (1.0 / p)
 
-
-@dataclass(frozen=True)
-class LocalPoly:
-    """Tensor polynomial on one dyadic cube, in the orthonormal-on-cube Legendre basis.
-
-    coeffs has shape (l_1+1, ..., l_d+1).
-    """
-
-    cube: object
-    degrees: tuple[int, ...]
-    coeffs: np.ndarray
-
-    def values_on(self, grid: Grid) -> np.ndarray:
-        """Evaluate on the grid; zero outside the cube. Returns a full-size array."""
-        slices = grid.cube_slices(self.cube)
-        out = np.zeros(grid.shape)
-        block = self.coeffs
-        for j, l in enumerate(self.degrees):
-            xs = grid.axis_nodes[j][slices[j]]
-            lo = self.cube.pos[j] / 2 ** self.cube.level[j]
-            width = 1.0 / 2 ** self.cube.level[j]
-            table = interval_basis_table(l, xs, lo, width)
-            block = np.tensordot(block, table, axes=([0], [0]))
-        out[slices] = block
-        return out
-
-
-def local_project(f: GridFunction, cube, degrees) -> LocalPoly:
-    """L2-orthogonal projection of f onto tensor polynomials on one dyadic cube.
-
-    Coefficients are inner products against the orthonormal tensor Legendre
-    basis of the cube; exact reproduction when f restricted to the cube is a
-    polynomial of per-axis degree <= degrees.
-    """
-    grid = f.grid
-    degs = _as_tuple(degrees, grid.d, "degrees")
-    slices = grid.cube_slices(cube)
-    block = f.values[slices]
-    for j, l in enumerate(degs):
-        xs = grid.axis_nodes[j][slices[j]]
-        ws = grid.axis_weights[j][slices[j]]
-        lo = cube.pos[j] / 2 ** cube.level[j]
-        width = 1.0 / 2 ** cube.level[j]
-        analysis = interval_basis_table(l, xs, lo, width) * ws
-        # contract the leading sample axis; finished coefficient axes cycle to the end,
-        # so after all d contractions the shape is (l_1+1, ..., l_d+1)
-        block = np.tensordot(analysis, block, axes=([1], [0]))
-        block = np.moveaxis(block, 0, -1)
-    return LocalPoly(cube=cube, degrees=degs, coeffs=np.ascontiguousarray(block))

@@ -44,7 +44,6 @@ __all__ = [
     "support",
     "minimal_slots",
     "min_multiplicity",
-    "max_multiplicity",
 ]
 
 _REL_TOL = 1e-12
@@ -66,12 +65,6 @@ def minimal_slots(x: Sequence[float]) -> list[int]:
 def min_multiplicity(x: Sequence[float]) -> int:
     """How many entries attain the minimum (relative tolerance 1e-12)."""
     return len(minimal_slots(x))
-
-
-def max_multiplicity(x: Sequence[float]) -> int:
-    m = max(x)
-    tol = _REL_TOL * max(1.0, abs(m))
-    return sum(1 for v in x if v >= m - tol)
 
 
 @dataclass(frozen=True)
@@ -236,7 +229,8 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
         raise ValueError("alpha and beta must be strictly positive")
     ratio_vec = tuple(a / b for a, b in zip(alpha, beta))
     big = max(ratio_vec)
-    big_mult = max_multiplicity(ratio_vec)
+    # negation is exact, so the maxima of x are the minima of -x in the same band
+    big_mult = min_multiplicity([-v for v in ratio_vec])
     small = min(ratio_vec)
     small_mult = min_multiplicity(ratio_vec)
     if big <= 0:

@@ -32,7 +32,6 @@ __all__ = [
     "lp_equivalence",
     "sign_series",
     "pstar_ratio",
-    "rademacher_eval",
     "khintchine_check",
     "lp_report",
 ]
@@ -185,32 +184,6 @@ def pstar_ratio(f: GridFunction, p: float, k, degrees) -> float:
 
 # ---------------------------------------------------------------------------
 # Rademacher system
-
-
-def rademacher_eval(kappa: Sequence[int], t) -> int:
-    """Sign of the tensor Rademacher function at a point, by dyadic position.
-
-    The axis factor at level k is +1 on even cells of the level-(k+1) dyadic
-    partition and -1 on odd ones; no trigonometry is involved. Points on a
-    cell boundary are rejected.
-    """
-    kappa = tuple(int(k) for k in kappa)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if len(kappa) != len(t):
-        raise ValueError("kappa and the point must have the same dimension")
-    sign = 1
-    for k, tj in zip(kappa, t):
-        if k < 0:
-            raise ValueError(f"levels must be >= 0, got {kappa}")
-        if not 0.0 < tj < 1.0:
-            raise ValueError(f"point coordinate {tj} outside the open unit interval")
-        u = tj * 2.0 ** (k + 1)
-        cell = math.floor(u)
-        if u == cell:
-            raise ValueError(f"coordinate {tj} is a dyadic breakpoint at level {k}")
-        if cell % 2:
-            sign = -sign
-    return sign
 
 
 def _axis_sign_table(k_axis: int, box_axis: int) -> np.ndarray:

@@ -16,13 +16,12 @@ _block_range says.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _two_scale_matrix, detail_cells, detail_dim
+from .basis import _two_scale_matrix, detail_cells
 from .grid import Grid, GridFunction, _as_tuple
 from .indexing import enum_box, enum_cross
 from .quadrature import interval_basis_table
@@ -33,11 +32,8 @@ __all__ = [
     "Decomposition",
     "project_level",
     "analyze",
-    "analyze_block",
     "synthesize",
     "parseval_gap",
-    "save_decomposition",
-    "load_decomposition",
 ]
 
 # ---------------------------------------------------------------------------
@@ -300,12 +296,6 @@ def analyze(f: GridFunction, index_set, degrees) -> Decomposition:
     return Decomposition(grid=grid, degrees=degs, index_set=descriptor, blocks=blocks)
 
 
-def analyze_block(f: GridFunction, kappa, degrees) -> DetailCoeffs:
-    """Coefficients of a single detail block."""
-    kappa = _check_levels(f.grid, kappa)
-    return analyze(f, [kappa], degrees).blocks[kappa]
-
-
 def synthesize(dec: Decomposition) -> GridFunction:
     """Sum of the basis expansions of all blocks of a decomposition."""
     grid = dec.grid
@@ -329,107 +319,3 @@ def parseval_gap(f: GridFunction, k, degrees) -> float:
         b.l2_norm() ** 2 for b in analyze(f, ("box", k), degs).blocks.values()
     )
     return abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# serialization: flat (kappa, cell, index, value) records, exact round trip
-
-
-def save_decomposition(dec: Decomposition, path) -> None:
-    """Write a decomposition as a self-describing text record stream.
-
-    One coefficient per line as hex floats, so load() reproduces every bit.
-    """
-    buf = io.StringIO()
-    buf.write("polymra-decomposition 1\n")
-    buf.write(
-        "grid %d %d %s\n"
-        % (dec.grid.d, dec.grid.level, ",".join(map(str, dec.grid.nodes_per_cell)))
-    )
-    buf.write("degrees %s\n" % ",".join(map(str, dec.degrees)))
-    kind = dec.index_set[0]
-    if kind == "box":
-        buf.write("index box %s\n" % ",".join(map(str, dec.index_set[1])))
-    elif kind == "cross":
-        beta = ",".join(repr(b) for b in dec.index_set[1])
-        buf.write("index cross %s %s\n" % (repr(dec.index_set[2]), beta))
-    else:
-        buf.write("index custom\n")
-    for kappa in sorted(dec.blocks):
-        block = dec.blocks[kappa]
-        kap = ",".join(map(str, kappa))
-        flat = block.coeffs.reshape(-1, block.coeffs.shape[-1])
-        for cell_flat, row in enumerate(flat):
-            rho = np.unravel_index(cell_flat, block.cells_shape) if block.cells_shape else ()
-            rho_s = ",".join(map(str, rho))
-            for i, value in enumerate(row):
-                buf.write(f"c {kap} {rho_s} {i} {float(value).hex()}\n")
-    data = buf.getvalue()
-    if hasattr(path, "write"):
-        path.write(data)
-    else:
-        with open(path, "w") as fh:
-            fh.write(data)
-
-
-def load_decomposition(path) -> Decomposition:
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()
-    else:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "polymra-decomposition 1":
-        raise ValueError("not a decomposition record stream")
-    header = {}
-    body_start = 1
-    for line in lines[1:]:
-        parts = line.split()
-        if parts and parts[0] == "c":
-            break
-        body_start += 1
-        if parts:
-            header[parts[0]] = parts[1:]
-    missing = [key for key in ("grid", "degrees", "index") if not header.get(key)]
-    if missing:
-        raise ValueError(f"decomposition header lacks {', '.join(missing)}")
-    d, level, nodes = header["grid"]
-    grid = Grid(int(d), int(level), tuple(int(v) for v in nodes.split(",")))
-    degrees = _as_tuple(header["degrees"][0].split(","), grid.d, "degrees")
-    idx = header["index"]
-    if idx[0] == "box":
-        descriptor = ("box", tuple(int(v) for v in idx[1].split(",")))
-    elif idx[0] == "cross":
-        descriptor = (
-            "cross",
-            tuple(float(v) for v in idx[2].split(",")),
-            float(idx[1]),
-        )
-    else:
-        descriptor = None  # rebuilt from the blocks below
-    root = detail_dim((0,) * grid.d, degrees)  # basis functions per cell
-    coeffs: dict[tuple[int, ...], np.ndarray] = {}
-    seen = set()
-    for line in lines[body_start:]:
-        if not line.strip():
-            continue
-        _, kap, rho_s, i_s, val = line.split()
-        kappa = _check_levels(grid, kap.split(","))
-        cells = detail_cells(kappa)
-        rho = _as_tuple(rho_s.split(","), grid.d, "cell")
-        i = int(i_s)
-        if not all(0 <= v < c for v, c in zip(rho, cells)):
-            raise ValueError(f"cell {rho} outside the {cells} cells of block {kappa}")
-        if not 0 <= i < root:
-            raise ValueError(f"basis index {i} outside 0..{root - 1}")
-        if (kappa, rho, i) in seen:
-            raise ValueError(f"duplicate record for block {kappa}, cell {rho}, index {i}")
-        seen.add((kappa, rho, i))
-        if kappa not in coeffs:
-            coeffs[kappa] = np.zeros(cells + (root,))
-        coeffs[kappa][rho + (i,)] = float.fromhex(val)
-    blocks = {
-        kappa: DetailCoeffs(kappa=kappa, degrees=degrees, coeffs=c) for kappa, c in coeffs.items()
-    }
-    if descriptor is None:
-        descriptor = ("custom", tuple(sorted(blocks)))
-    return Decomposition(grid=grid, degrees=degrees, index_set=descriptor, blocks=blocks)

@@ -1,11 +1,13 @@
 """Mixed differences, moduli of continuity, and dominating-mixed-smoothness seminorms.
 
-Differences use cell-commensurate steps only, so shifted nodes land on
-nodes and restricted domains are unions of whole cells; the modulus is a
-max over that finite family of steps, which makes it a one-sided (lower)
-surrogate of the continuum supremum.  Seminorm integrals are discretized on
-the dyadic scale grid t = 2^-m with the modulus frozen per dyadic block,
-plus the closed-form tail over t > 1.
+Differences take positive whole-cell steps only, so shifted nodes land on
+nodes and each difference lives on a slab of whole cells; a step of the
+opposite sign mirrors that slab and gives the same norm.  The modulus is a
+max over this finite family of steps, which makes it a one-sided (lower)
+surrogate of the continuum supremum; modulus_table tabulates it at the
+dyadic scales t = 2^-m.  Seminorm integrals are discretized on the dyadic
+scale grid with the modulus frozen per dyadic block, plus the closed-form
+tail over t > 1.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .projectors import analyze
 __all__ = [
     "SmoothnessParams",
     "ModulusTable",
-    "mixed_difference",
-    "mixed_modulus",
     "modulus_table",
     "besov_seminorm",
     "decay_check",
@@ -63,15 +63,6 @@ class SmoothnessParams:
         return tuple(int(math.floor(a)) + 1 for a in self.alpha)
 
 
-def _float_vec(value, d: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        return (float(value),) * d
-    out = tuple(float(v) for v in value)
-    if len(out) != d:
-        raise ValueError(f"{name} must have length {d}, got {out}")
-    return out
-
-
 def _order_vec(value, d: int) -> tuple[int, ...]:
     if np.isscalar(value):
         out = (int(value),) * d
@@ -82,37 +73,22 @@ def _order_vec(value, d: int) -> tuple[int, ...]:
     return out
 
 
-def _slab(grid: Grid, order: int, shift: int) -> tuple[int, int]:
-    """First cell and cell count of the valid slab of a difference along one axis.
-
-    The slab holds the whole cells where every node shifted by up to
-    order steps of shift cells stays in the cube: cells - order*|shift|
-    cells, from cell 0 for a positive step and from cell order*|shift|
-    for a negative one.  A span reaching the cell count leaves no slab,
-    and a zero step of positive order gives the zero difference: both
-    have count 0.
-    """
-    span = order * abs(shift)
-    if order > 0 and not 0 < span < grid.cells_per_axis:
-        return 0, 0
-    return (span if shift < 0 else 0), grid.cells_per_axis - span
-
-
 def _axis_difference(values: np.ndarray, grid: Grid, axis: int, order: int,
                      shift: int) -> np.ndarray:
-    """Finite difference along one axis with a whole-cell step, on its valid slab only.
+    """Finite difference along one axis with a positive whole-cell step, on its valid slab only.
 
-    The slab (see _slab) must be nonempty.  The result is a new array with
-    the input's shape except along the axis; order 0 returns a copy.
+    The slab holds the first cells - order*shift whole cells, where every
+    node shifted by up to order steps stays in the cube; order*shift must
+    stay below the cell count.  The result is a new array with the input's
+    shape except along the axis; order 0 returns a copy.
     """
     n = grid.nodes_per_cell[axis]
-    base, count = _slab(grid, order, shift)
+    length = (grid.cells_per_axis - order * shift) * n
     src = [slice(None)] * values.ndim
     out = None
     for k in range(order + 1):
         w = (-1) ** (order - k) * math.comb(order, k)
-        lo = (base + k * shift) * n
-        src[axis] = slice(lo, lo + count * n)
+        src[axis] = slice(k * shift * n, k * shift * n + length)
         term = values[tuple(src)]
         if out is None:
             out = w * term
@@ -125,52 +101,28 @@ def _axis_difference(values: np.ndarray, grid: Grid, axis: int, order: int,
     return out
 
 
-def mixed_difference(f: GridFunction, h, l) -> GridFunction:
-    """Tensor-product finite difference with steps h and per-axis orders l.
-
-    Steps snap to the nearest whole number of finest cells.  The result is
-    zero outside the restricted domain where every shifted point stays in
-    the cube; an empty domain gives the zero function.
-    """
-    grid = f.grid
-    hv = _float_vec(h, grid.d, "h")
-    lv = _order_vec(l, grid.d)
-    out = np.zeros(grid.shape)
-    slab = f.values
-    dest = []
-    for axis in range(grid.d):
-        shift = int(round(hv[axis] * grid.cells_per_axis))
-        base, count = _slab(grid, lv[axis], shift)
-        if count == 0:
-            return GridFunction(grid, out)
-        slab = _axis_difference(slab, grid, axis, lv[axis], shift)
-        n = grid.nodes_per_cell[axis]
-        dest.append(slice(base * n, (base + count) * n))
-    out[tuple(dest)] = slab
-    return GridFunction(grid, out)
-
-
 def _fill_norms(values: np.ndarray, grid: Grid, l: tuple[int, ...], p: float,
-                axes: tuple[int, ...], smax: tuple[int, ...], out: np.ndarray) -> None:
-    """Difference norms for every step vector up to smax into the zeroed array out.
+                axes: tuple[int, ...], out: np.ndarray) -> None:
+    """Difference norms for every step vector into the zeroed array out.
 
-    Each difference along axes[0] is taken on its valid slab, and the
-    differences along the remaining axes act on that slab.  Steps whose
-    span l * s reaches the cell count leave an empty domain: the
-    difference is the zero function, its entry stays 0 and is skipped.
-    An order-0 axis is the identity, so its sub-table is the same for
-    every step and is computed once.
+    out has one axis per entry of axes; entry s - 1 holds the step of s
+    whole cells, s = 1..cells.  Each difference along axes[0] is taken on
+    its valid slab, and the differences along the remaining axes act on
+    that slab.  Steps whose span l * s reaches the cell count leave an
+    empty domain: the difference is the zero function, its entry stays 0
+    and is skipped.  An order-0 axis is the identity, so its sub-table is
+    the same for every step and is computed once.
     """
     axis = axes[0]
     order = l[axis]
-    steps = 1 if order == 0 else min(smax[0], (grid.cells_per_axis - 1) // order)
+    steps = 1 if order == 0 else (grid.cells_per_axis - 1) // order
     for s in range(1, steps + 1):
         diff = _axis_difference(values, grid, axis, order, s)
         if len(axes) == 1:
             np.abs(diff, out=diff)
             out[s - 1] = box_lp_norm(grid, diff, p)
         else:
-            _fill_norms(diff, grid, l, p, axes[1:], smax[1:], out[s - 1])
+            _fill_norms(diff, grid, l, p, axes[1:], out[s - 1])
         del diff  # free this slab before the next step allocates its own
     if order == 0:
         out[1:] = out[0]
@@ -183,29 +135,6 @@ def _resolve_axes(axes, d: int) -> tuple[int, ...]:
     if not out or len(set(out)) != len(out) or out[0] < 0 or out[-1] >= d:
         raise ValueError(f"axes must be a nonempty subset of 0..{d - 1}, got {axes}")
     return out
-
-
-def mixed_modulus(f: GridFunction, t, l, p: float, axes=None) -> float:
-    """Mixed modulus of continuity: max difference norm over steps |h_j| <= t_j.
-
-    Differences run along the given axes (all of them by default) with the
-    orders l; steps range over every whole-cell value up to t_j.  Negative
-    steps add nothing: they mirror the restricted domain and leave the norm
-    unchanged.  A t_j below one cell width leaves no resolvable step and
-    gives 0.
-    """
-    grid = f.grid
-    J = _resolve_axes(axes, grid.d)
-    tv = _float_vec(t, len(J), "t")
-    if any(tj <= 0 for tj in tv):
-        raise ValueError(f"t must be positive, got {t}")
-    lv = _order_vec(l, grid.d)
-    smax = tuple(int(math.floor(tj * grid.cells_per_axis + 1e-9)) for tj in tv)
-    if any(s == 0 for s in smax):
-        return 0.0
-    norms = np.zeros(smax)
-    _fill_norms(f.values, grid, lv, p, J, smax, norms)
-    return float(norms.max())
 
 
 @dataclass(frozen=True)
@@ -222,7 +151,11 @@ class ModulusTable:
 
 
 def modulus_table(f: GridFunction, l, p: float, axes=None) -> ModulusTable:
-    """Modulus of continuity tabulated over all dyadic scale vectors at once.
+    """Mixed modulus of continuity tabulated over all dyadic scale vectors at once.
+
+    The modulus at t is the largest norm of the differences along the axes
+    J (all of them by default) with the orders l, over every whole-cell
+    step h_j <= t_j.
 
     Cost, with C cells per axis and N grid nodes: one difference norm per
     step vector s with l_j s_j < C on every axis j of J, about
@@ -241,7 +174,7 @@ def modulus_table(f: GridFunction, l, p: float, axes=None) -> ModulusTable:
     lv = _order_vec(l, grid.d)
     cells = grid.cells_per_axis
     norms = np.zeros((cells,) * len(J))
-    _fill_norms(f.values, grid, lv, p, J, (cells,) * len(J), norms)
+    _fill_norms(f.values, grid, lv, p, J, norms)
     for axis in range(norms.ndim):
         norms = np.maximum.accumulate(norms, axis=axis)
     K = grid.level

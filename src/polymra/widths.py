@@ -35,7 +35,6 @@ __all__ = [
     "choose_beta",
     "truncation_error",
     "tail_model",
-    "tail_bound_check",
     "budget_plan",
     "width_model_exponents",
     "width_experiment",
@@ -113,13 +112,6 @@ def tail_model(params: SmoothnessParams, q: float, r) -> float:
         star = min(2.0, p)
     log_power = (c - 1) * max(0.0, 1.0 / star - _inv(params.theta))
     return 2.0 ** (-rate * float(r)) * float(r) ** log_power
-
-
-def tail_bound_check(f: GridFunction, beta, r, params: SmoothnessParams, q: float) -> float:
-    """Measured truncation error over its model size; bounded for unit-class f."""
-    degrees = tuple(l - 1 for l in params.l)
-    err, _ = truncation_error(f, beta, r, q, degrees=degrees)
-    return err / tail_model(params, q, r)
 
 
 @dataclass(frozen=True)

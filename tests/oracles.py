@@ -86,6 +86,26 @@ def project_detail(f, kappa, degrees):
     return GridFunction(grid, acc)
 
 
+def local_project(f, cube, degrees):
+    """Legendre coefficients of the L2 projection of f onto polynomials on one dyadic cube.
+
+    Inner products against the orthonormal tensor Legendre basis of the
+    cube, whose nodes Grid.cube_slices locates; one cube at a time, where
+    project_level does every cell of a level at once.  The result has shape
+    (l_1+1, ..., l_d+1).
+    """
+    grid = f.grid
+    slices = grid.cube_slices(cube)
+    block = f.values[slices]
+    for j, l in enumerate(degrees):
+        xs, ws = grid.axis_nodes[j][slices[j]], grid.axis_weights[j][slices[j]]
+        width = 2.0 ** -cube.level[j]
+        analysis = interval_basis_table(l, xs, cube.pos[j] * width, width) * ws
+        # contract the leading sample axis; finished coefficient axes cycle to the end
+        block = np.moveaxis(np.tensordot(analysis, block, axes=([1], [0])), 0, -1)
+    return block
+
+
 def half_cell_values(vec, x):
     """Values on (0,1) of a two-piece polynomial given by half-interval Legendre coordinates.
 
@@ -134,6 +154,33 @@ def haar_block(coeff_tensor, kappa):
         slice(0, 1) if k == 0 else slice(2 ** (k - 1), 2 ** k) for k in kappa
     )
     return coeff_tensor[slices]
+
+
+def rademacher_eval(kappa, t):
+    """Sign of the tensor Rademacher function at a point, by dyadic position.
+
+    The pointwise route to the sign tables of lp_analysis._axis_sign_table.
+    The axis factor at level k is +1 on even cells of the level-(k+1) dyadic
+    partition and -1 on odd ones; no trigonometry is involved. Points on a
+    cell boundary are rejected.
+    """
+    kappa = tuple(int(k) for k in kappa)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if len(kappa) != len(t):
+        raise ValueError("kappa and the point must have the same dimension")
+    sign = 1
+    for k, tj in zip(kappa, t):
+        if k < 0:
+            raise ValueError(f"levels must be >= 0, got {kappa}")
+        if not 0.0 < tj < 1.0:
+            raise ValueError(f"point coordinate {tj} outside the open unit interval")
+        u = tj * 2.0 ** (k + 1)
+        cell = math.floor(u)
+        if u == cell:
+            raise ValueError(f"coordinate {tj} is a dyadic breakpoint at level {k}")
+        if cell % 2:
+            sign = -sign
+    return sign
 
 
 def rademacher_sum_lp_brute(arr, p):

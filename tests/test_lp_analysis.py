@@ -6,17 +6,17 @@ import pytest
 from polymra import Decomposition, DetailCoeffs, analyze, grid_for, lp_norm, synthesize
 from polymra.lp_analysis import (
     SignFamily,
+    _axis_sign_table,
     khintchine_check,
     lp_equivalence,
     lp_report,
     pstar_ratio,
-    rademacher_eval,
     random_resolved,
     sign_series,
     square_function,
 )
 from polymra.projectors import project_level
-from oracles import rademacher_sum_lp_brute
+from oracles import rademacher_eval, rademacher_sum_lp_brute
 
 
 def test_square_function_single_block(rng):
@@ -162,6 +162,18 @@ def test_rademacher_matches_trig(rng):
         if want == 0.0:
             continue
         assert rademacher_eval((k,), (t,)) == want
+
+
+def test_axis_sign_table_matches_rademacher_oracle():
+    # the sign table khintchine_check contracts against, at every cell midpoint
+    for box in range(6):
+        cells = 2 ** (box + 1)
+        mids = (np.arange(cells) + 0.5) / cells
+        for k in range(box + 1):
+            table = _axis_sign_table(k, box)
+            assert table.shape == (k + 1, cells)
+            want = [[rademacher_eval((kk,), (t,)) for t in mids] for kk in range(k + 1)]
+            np.testing.assert_array_equal(table, want)
 
 
 def test_khintchine_frozen_example():

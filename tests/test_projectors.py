@@ -1,6 +1,5 @@
 """Level/detail orthoprojectors, the full transform, and the Haar oracle."""
 
-import io
 import tracemalloc
 
 import numpy as np
@@ -8,15 +7,13 @@ import pytest
 
 from polymra import (
     Decomposition,
+    DyadicCube,
     analyze,
-    analyze_block,
     detail_components,
     grid_for,
-    load_decomposition,
     lp_norm,
     parseval_gap,
     project_level,
-    save_decomposition,
     synthesize,
 )
 from oracles import (
@@ -25,6 +22,7 @@ from oracles import (
     haar_block,
     haar_coeff_tensor,
     level_operator_1d,
+    local_project,
     project_detail,
 )
 
@@ -62,13 +60,11 @@ def test_project_level_idempotent(rng):
 
 
 def test_project_level_zero_is_local(rng):
-    from polymra import DyadicCube, local_project
-
     g = grid_for(2, degree=1, level=2)
     f = g.function(rng.standard_normal(g.shape))
     whole = local_project(f, DyadicCube(level=(0, 0), pos=(0, 0)), (1, 1))
     lvl = project_level(f, (0, 0), (1, 1))
-    np.testing.assert_allclose(lvl.coeffs[0, 0], whole.coeffs, atol=1e-13)
+    np.testing.assert_allclose(lvl.coeffs[0, 0], whole, atol=1e-13)
 
 
 def test_project_level_resolution_error():
@@ -110,7 +106,7 @@ def test_detail_routes_agree(rng):
     f = g.function(rng.standard_normal(g.shape))
     for kappa in [(0, 0), (2, 0), (0, 3), (2, 1), (3, 3)]:
         a = project_detail(f, kappa, degs)
-        block = analyze_block(f, kappa, degs)
+        block = analyze(f, [kappa], degs).blocks[kappa]
         dec = Decomposition(
             grid=g, degrees=degs, index_set=("custom", (kappa,)), blocks={kappa: block}
         )
@@ -304,95 +300,3 @@ def test_transform_memory_is_linear_in_the_nodes(rng):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
-
-
-def test_serialization_roundtrip(rng):
-    g = grid_for(2, degree=(1, 0), level=3)
-    f = g.function(rng.standard_normal(g.shape))
-    dec = analyze(f, ("box", (2, 1)), (1, 0))
-    buf = io.StringIO()
-    save_decomposition(dec, buf)
-    buf.seek(0)
-    back = load_decomposition(buf)
-    assert back.index_set == dec.index_set
-    assert back.degrees == dec.degrees
-    assert set(back.blocks) == set(dec.blocks)
-    for kappa in dec.blocks:
-        assert np.array_equal(back.blocks[kappa].coeffs, dec.blocks[kappa].coeffs)
-    # bit-exact synthesis on the rebuilt grid
-    np.testing.assert_array_equal(
-        synthesize(back).values, synthesize(dec).values
-    )
-
-
-def test_serialization_cross_descriptor(tmp_path, rng):
-    g = grid_for(2, degree=0, level=2)
-    f = g.function(rng.standard_normal(g.shape))
-    dec = analyze(f, ("cross", (1.0, np.sqrt(2.0)), 2.5), (0, 0))
-    path = tmp_path / "dec.txt"
-    save_decomposition(dec, path)
-    back = load_decomposition(path)
-    assert back.index_set[0] == "cross"
-    assert back.index_set[1] == dec.index_set[1]
-    assert back.index_set[2] == dec.index_set[2]
-    assert set(back.blocks) == set(dec.blocks)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a decomposition\n")
-    with pytest.raises(ValueError):
-        load_decomposition(path)
-
-
-def _saved_text(rng):
-    g = grid_for(2, degree=(1, 0), level=2)
-    dec = analyze(g.function(rng.standard_normal(g.shape)), ("box", (2, 1)), (1, 0))
-    buf = io.StringIO()
-    save_decomposition(dec, buf)
-    return buf.getvalue()
-
-
-def _load_text(text):
-    return load_decomposition(io.StringIO(text))
-
-
-def test_load_rejects_a_missing_header_key(rng):
-    text = _saved_text(rng)
-    lines = [line for line in text.splitlines() if not line.startswith("degrees")]
-    with pytest.raises(ValueError, match="degrees"):
-        _load_text("\n".join(lines))
-
-
-def test_load_rejects_a_kappa_of_the_wrong_length(rng):
-    # the first record belongs to block (0, 0)
-    text = _saved_text(rng).replace("\nc 0,0 0,0 0 ", "\nc 0 0,0 0 ", 1)
-    with pytest.raises(ValueError, match="length"):
-        _load_text(text)
-
-
-def test_load_rejects_a_kappa_above_the_grid_level(rng):
-    text = _saved_text(rng).replace("\nc 0,0 0,0 0 ", "\nc 3,0 0,0 0 ", 1)
-    with pytest.raises(ValueError, match="resolution"):
-        _load_text(text)
-
-
-def test_load_rejects_a_cell_outside_the_block(rng):
-    # block (2, 1) has 2 x 1 cells
-    text = _saved_text(rng).replace("\nc 2,1 1,0 0 ", "\nc 2,1 2,0 0 ", 1)
-    with pytest.raises(ValueError, match="cell"):
-        _load_text(text)
-
-
-def test_load_rejects_a_basis_index_beyond_the_root_count(rng):
-    # degrees (1, 0): two basis functions per cell
-    text = _saved_text(rng).replace("\nc 0,0 0,0 1 ", "\nc 0,0 0,0 2 ", 1)
-    with pytest.raises(ValueError, match="basis index"):
-        _load_text(text)
-
-
-def test_load_rejects_a_duplicate_record(rng):
-    text = _saved_text(rng)
-    first = next(line for line in text.splitlines() if line.startswith("c "))
-    with pytest.raises(ValueError, match="duplicate"):
-        _load_text(text + first + "\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymra import DyadicCube, grid_for, local_project, lp_norm
+from polymra import DyadicCube, PiecewisePoly, grid_for, lp_norm, project_level
 from polymra.grid import Grid
 from polymra.quadrature import (
     gauss_rule,
@@ -13,6 +13,8 @@ from polymra.quadrature import (
     legendre_eval,
     legendre_table,
 )
+
+from oracles import local_project
 
 
 def test_gauss_midpoint():
@@ -125,48 +127,62 @@ def test_lp_norm_values():
         lp_norm(f, 0.5)
 
 
-# -- local projection -------------------------------------------------------
+def test_cube_slices_rejects_bad_cubes():
+    g = grid_for(2, degree=0, level=2)
+    assert g.cube_slices(DyadicCube(level=(1, 2), pos=(1, 3))) == (slice(4, 8), slice(6, 8))
+    for cube in (DyadicCube(level=(3, 0), pos=(0, 0)),  # level above the grid
+                 DyadicCube(level=(1, 1), pos=(0, 2)),  # position outside 2^m
+                 DyadicCube(level=(1,), pos=(0,))):  # wrong dimension
+        with pytest.raises(ValueError):
+            g.cube_slices(cube)
+
+
+# -- local projection: project_level against the one-cube oracle -----------
 
 
 def test_local_project_constant():
     g = grid_for(2, degree=1, level=2)
     f = g.sample(lambda x, y: np.ones_like(x * y))
-    cube = DyadicCube(level=(0, 0), pos=(0, 0))
-    poly = local_project(f, cube, (1, 1))
     expected = np.zeros((2, 2))
     expected[0, 0] = 1.0
-    np.testing.assert_allclose(poly.coeffs, expected, atol=1e-13)
+    np.testing.assert_allclose(project_level(f, (0, 0), (1, 1)).coeffs[0, 0], expected,
+                               atol=1e-13)
+    cube = DyadicCube(level=(0, 0), pos=(0, 0))
+    np.testing.assert_allclose(local_project(f, cube, (1, 1)), expected, atol=1e-13)
 
 
 def test_local_project_linear():
     # projection of x onto {1, sqrt(3)(2x-1)} has coefficients (1/2, 1/(2 sqrt 3))
     g = grid_for(1, degree=1, level=2)
     f = g.sample(lambda x: x)
-    poly = local_project(f, DyadicCube(level=(0,), pos=(0,)), (1,))
-    np.testing.assert_allclose(
-        poly.coeffs, [0.5, 1.0 / (2.0 * np.sqrt(3.0))], atol=1e-14
-    )
+    expected = [0.5, 1.0 / (2.0 * np.sqrt(3.0))]
+    np.testing.assert_allclose(project_level(f, (0,), (1,)).coeffs[0], expected, atol=1e-14)
+    cube = DyadicCube(level=(0,), pos=(0,))
+    np.testing.assert_allclose(local_project(f, cube, (1,)), expected, atol=1e-14)
 
 
 def test_local_project_reproduces_polynomials(rng):
+    # a polynomial on one level-(1, 2) cell and zero elsewhere comes back exactly
     g = grid_for(2, degree=(2, 1), level=2)
     cube = DyadicCube(level=(1, 2), pos=(1, 3))
     for _ in range(5):
         coeffs = rng.standard_normal((3, 2))
-        from polymra import LocalPoly
-
-        poly = LocalPoly(cube=cube, degrees=(2, 1), coeffs=coeffs)
-        f = g.function(poly.values_on(g))
-        back = local_project(f, cube, (2, 1))
-        np.testing.assert_allclose(back.coeffs, coeffs, atol=1e-12 * np.abs(coeffs).max())
+        cells = np.zeros((2, 4, 3, 2))
+        cells[1, 3] = coeffs
+        f = PiecewisePoly(grid=g, level=(1, 2), degrees=(2, 1), coeffs=cells).to_grid()
+        tol = 1e-12 * np.abs(coeffs).max()
+        back = project_level(f, (1, 2), (2, 1)).coeffs
+        np.testing.assert_allclose(back, cells, atol=tol)
+        np.testing.assert_allclose(local_project(f, cube, (2, 1)), coeffs, atol=tol)
 
 
 def test_local_project_residual_orthogonal():
     g = grid_for(1, degree=2, level=1)
     f = g.sample(lambda x: np.sin(3.0 * x))
     cube = DyadicCube(level=(1,), pos=(0,))
-    poly = local_project(f, cube, (2,))
-    residual = f.values - poly.values_on(g)
+    poly = project_level(f, (1,), (2,))
+    np.testing.assert_allclose(poly.coeffs[0], local_project(f, cube, (2,)), atol=1e-14)
+    residual = f.values - poly.to_grid().values
     sl = g.cube_slices(cube)[0]
     xs, ws = g.axis_nodes[0][sl], g.axis_weights[0][sl]
     table = interval_basis_table(2, xs, 0.0, 0.5)
@@ -176,11 +192,9 @@ def test_local_project_residual_orthogonal():
 
 def test_local_project_stability(rng):
     g = grid_for(1, degree=1, level=3)
-    cube = DyadicCube(level=(0,), pos=(0,))
     for _ in range(10):
         f = g.function(rng.standard_normal(g.shape))
-        poly = local_project(f, cube, (1,))
-        norm_pf = np.sqrt(g.integrate(poly.values_on(g) ** 2))
+        norm_pf = lp_norm(project_level(f, (0,), (1,)).to_grid(), 2)
         assert norm_pf <= lp_norm(f, 2) * (1.0 + 1e-12)
 
 

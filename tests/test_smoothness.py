@@ -14,11 +14,10 @@ from polymra.projectors import Decomposition, analyze, synthesize
 from polymra.smoothness import (
     ModulusTable,
     SmoothnessParams,
+    _axis_difference,
     _fill_norms,
     besov_seminorm,
     decay_check,
-    mixed_difference,
-    mixed_modulus,
     modulus_table,
     synthesize_extremal,
 )
@@ -50,103 +49,80 @@ class TestParams:
 
 class TestMixedDifference:
     def test_first_difference_of_linear(self):
+        # step of 4 cells: the slab is the first 64 - 4 cells, where x + h - x = h
         g = grid_for(1, degree=1)
         f = g.sample(lambda x: x)
-        h = 4 / 64
-        diff = mixed_difference(f, h, 1)
-        n = g.nodes_per_cell[0]
-        inside = diff.values[: (64 - 4) * n]
-        assert np.allclose(inside, h, atol=1e-14)
-        assert np.all(diff.values[(64 - 4) * n:] == 0.0)
+        diff = _axis_difference(f.values, g, 0, 1, 4)
+        assert diff.shape == ((64 - 4) * g.nodes_per_cell[0],)
+        assert np.allclose(diff, 4 / 64, atol=1e-14)
 
     def test_second_difference_kills_affine(self):
         g = grid_for(1, degree=1)
         f = g.sample(lambda x: 2.0 - 3.0 * x)
-        diff = mixed_difference(f, 0.125, 2)
-        assert np.max(np.abs(diff.values)) <= 1e-12
+        assert np.max(modulus_table(f, 2, 2.0).values) <= 1e-12
 
     def test_matches_double_sum(self):
+        # nested axis differences on the slab against the flat binomial double sum
         g = grid_for(2, degree=(1, 0), level=4)
         rng = np.random.default_rng(42)
         f = GridFunction(g, rng.standard_normal(g.shape))
-        for shifts, orders in (((3, -2), (1, 2)), ((1, 1), (2, 1)), ((-4, 5), (1, 1))):
-            h = tuple(s / 16 for s in shifts)
-            got = mixed_difference(f, h, orders).values
-            want = mixed_difference_brute(f, shifts, orders)
-            assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_negative_steps_match_brute_force_3d(self):
-        # mixed node counts per axis; spans up to and past the cell count
-        g = grid_for(3, degree=(0, 1, 2), level=3)
-        f = GridFunction(g, np.random.default_rng(8).standard_normal(g.shape))
-        cases = (((-3, 2, -1), (1, 0, 2)), ((2, -5, 3), (2, 1, 1)),
-                 ((-1, -1, -2), (3, 2, 1)), ((-4, 1, 1), (2, 1, 1)))
-        for shifts, orders in cases:
-            h = tuple(s / 8 for s in shifts)
-            got = mixed_difference(f, h, orders).values
-            want = mixed_difference_brute(f, shifts, orders)
-            assert got.shape == g.shape
-            assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.all(got[want == 0.0] == 0.0)
-
-    def test_snapping_and_degenerate_cases(self):
-        g = grid_for(1, degree=0)
-        f = g.sample(lambda x: np.sin(3 * x))
-        exact = mixed_difference(f, 1 / 64, 1)
-        snapped = mixed_difference(f, 0.013, 1)  # rounds to one cell
-        assert np.array_equal(exact.values, snapped.values)
-        assert np.all(mixed_difference(f, 0.9, 2).values == 0.0)  # empty domain
-        assert np.all(mixed_difference(f, 0.0, 1).values == 0.0)  # zero step
-        ident = mixed_difference(f, 0.25, 0)
-        assert np.array_equal(ident.values, f.values)
+        for shifts, orders in (((3, 2), (1, 2)), ((1, 1), (2, 1)), ((4, 5), (1, 1))):
+            got = f.values
+            for axis in (0, 1):
+                got = _axis_difference(got, g, axis, orders[axis], shifts[axis])
+            full = np.zeros(g.shape)
+            full[tuple(slice(0, n) for n in got.shape)] = got
+            assert np.max(np.abs(full - mixed_difference_brute(f, shifts, orders))) <= 1e-12
 
     def test_validation(self):
         g = grid_for(1, degree=0)
         f = g.zeros()
         with pytest.raises(ValueError):
-            mixed_difference(f, (0.1, 0.1), 1)
+            modulus_table(f, (1, 1), 2.0)
         with pytest.raises(ValueError):
-            mixed_difference(f, 0.1, -1)
+            modulus_table(f, -1, 2.0)
 
 
 class TestMixedModulus:
+    """The mixed modulus at the dyadic scales t = 2^-m, read off modulus_table."""
+
     def test_closed_form_linear(self):
-        # sup over |h| <= 1/4 of ||h||_Lp(0, 1-h) = (1/4) (3/4)^(1/p)
+        # sup over h <= 2^-m of ||h||_Lp(0, 1-h) = 2^-m (1 - 2^-m)^(1/p) for m >= 1,
+        # where h (1 - h)^(1/p) still grows; at m = 2 that is (1/4) (3/4)^(1/p)
         g = grid_for(1, degree=1)
         f = g.sample(lambda x: x)
         for p in (1.0, 2.0, 3.0):
-            got = mixed_modulus(f, 0.25, 1, p)
-            assert got == pytest.approx(0.25 * 0.75 ** (1.0 / p), abs=1e-13)
+            table = modulus_table(f, 1, p)
+            for m in range(1, g.level + 1):
+                t = 2.0 ** -m
+                assert table.values[m] == pytest.approx(t * (1.0 - t) ** (1.0 / p), abs=1e-13)
 
     def test_constant_gives_zero(self):
         g = grid_for(1, degree=0)
         f = g.sample(lambda x: np.full_like(x, 5.0))
-        assert mixed_modulus(f, 0.5, 1, 2.0) == 0.0
+        assert np.all(modulus_table(f, 1, 2.0).values == 0.0)
 
     def test_monotone_in_t(self):
         g = grid_for(1, degree=1)
         f = g.sample(lambda x: np.sin(np.pi * x))
-        vals = [mixed_modulus(f, 2.0 ** -m, 1, 2.0) for m in range(6, -1, -1)]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+        vals = modulus_table(f, 1, 2.0).values
+        assert np.all(np.diff(vals) <= 0.0)
 
     def test_vanishes_on_low_degree_polynomials(self):
         # degree < order along every requested axis kills the difference
         g = grid_for(2, degree=(1, 2), level=3)
         f = g.sample(lambda x, y: 3.0 * y ** 2)
-        assert mixed_modulus(f, (0.25,), (1, 1), 2.0, axes=(0,)) <= 1e-12
+        assert np.max(modulus_table(f, (1, 1), 2.0, axes=(0,)).values) <= 1e-12
         aff = g.sample(lambda x, y: (1.0 + 2.0 * x) * y ** 2)
-        assert mixed_modulus(aff, (0.25,), (2, 1), 2.0, axes=(0,)) <= 1e-12
+        assert np.max(modulus_table(aff, (2, 1), 2.0, axes=(0,)).values) <= 1e-12
 
-    def test_below_resolution_and_validation(self):
+    def test_axes_validation(self):
         g = grid_for(1, degree=0)
         f = g.sample(lambda x: x)
-        assert mixed_modulus(f, 2.0 ** -10, 1, 2.0) == 0.0
         with pytest.raises(ValueError):
-            mixed_modulus(f, -0.1, 1, 2.0)
+            modulus_table(f, 1, 2.0, axes=(3,))
         with pytest.raises(ValueError):
-            mixed_modulus(f, 0.25, 1, 2.0, axes=(3,))
-        with pytest.raises(ValueError):
-            mixed_modulus(f, 0.25, 1, 2.0, axes=())
+            modulus_table(f, 1, 2.0, axes=())
 
 
 class TestModulusTable:
@@ -162,12 +138,14 @@ class TestModulusTable:
         assert table.values[-1, -1] < 0.05 * table.values[0, 0]
 
     def test_matches_pointwise_modulus(self):
+        # the modulus at t = 2^-m as the max over the steps s <= 2^(K-m) cells
         g = grid_for(1, degree=1, level=4)
         f = g.sample(lambda x: np.exp(x))
         table = modulus_table(f, (1,), 3.0)
         for m in range(5):
-            assert table.values[m] == pytest.approx(
-                mixed_modulus(f, 2.0 ** -m, 1, 3.0), abs=1e-14)
+            want = max(lp_norm(GridFunction(g, mixed_difference_brute(f, (s,), (1,))), 3.0)
+                       for s in range(1, 2 ** (4 - m) + 1))
+            assert table.values[m] == pytest.approx(want, abs=1e-14)
 
 
     @pytest.mark.parametrize("p", [1.0, 2.5, math.inf])
@@ -187,7 +165,7 @@ class TestModulusTable:
                     diff = mixed_difference_brute(f, (s0, 1, s2), (orders[0], 0, orders[2]))
                     norms[s0 - 1, s2 - 1] = lp_norm(GridFunction(g, diff), p)
             got = np.zeros((cells, cells))
-            _fill_norms(f.values, g, orders, p, (0, 2), (cells, cells), got)
+            _fill_norms(f.values, g, orders, p, (0, 2), got)
             np.testing.assert_allclose(got, norms, rtol=1e-12, atol=0.0)
             for axis in (0, 1):
                 norms = np.maximum.accumulate(norms, axis=axis)

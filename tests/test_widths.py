@@ -18,7 +18,6 @@ from polymra.widths import (
     budget_plan,
     choose_beta,
     rate_fit,
-    tail_bound_check,
     tail_model,
     truncation_error,
     width_experiment,
@@ -162,14 +161,17 @@ class TestTailModel:
         sp = params2(alpha=(1.0,))
         f = synthesize_extremal(sp, 6, 11)
         unit = GridFunction(f.grid, f.values / besov_seminorm(f, sp))
-        ratios = [tail_bound_check(unit, (1.0,), r, sp, 2.0) for r in range(1, 6)]
+        # degree l - 1 = 1 for alpha = 1
+        ratios = [truncation_error(unit, (1.0,), r, 2.0, degrees=(1,))[0]
+                  / tail_model(sp, 2.0, r) for r in range(1, 6)]
         assert ratios[0] == pytest.approx(0.0282, abs=0.005)
         assert all(0.0 < x <= 0.05 for x in ratios)
 
     def test_zero_function_ratio(self):
         grid = grid_for(1, degree=1, level=4)
         zero = GridFunction(grid, np.zeros(grid.shape))
-        assert tail_bound_check(zero, (1.0,), 3, params2(alpha=(1.0,)), 2.0) == 0.0
+        err = truncation_error(zero, (1.0,), 3, 2.0, degrees=(1,))[0]
+        assert err / tail_model(params2(alpha=(1.0,)), 2.0, 3) == 0.0
 
 
 class TestBudgetPlan:
