@@ -186,6 +186,11 @@ def cross_contains(kappa: Sequence[int], beta: Sequence[float], r: float) -> boo
     return bool(_inside(row, row @ np.asarray(beta, dtype=float), beta, r)[0])
 
 
+def _cross_box(beta: Sequence[float], r: float) -> tuple[int, ...]:
+    """Corner of the box scanned for the cross (kappa, beta) <= r: floor(r / beta_j) per axis."""
+    return tuple(int(math.floor(r / b + 1e-9)) for b in beta)
+
+
 def enum_cross(beta: Sequence[float], r: float) -> list[tuple[int, ...]]:
     """All kappa with (kappa, beta) <= r, lexicographic; beta strictly positive."""
     beta = tuple(float(b) for b in beta)
@@ -193,9 +198,9 @@ def enum_cross(beta: Sequence[float], r: float) -> list[tuple[int, ...]]:
         raise ValueError(f"cross weights must be positive, got {beta}")
     if r < 0:
         return []
-    bound = tuple(int(math.floor(r / b + 1e-9)) for b in beta)
+    bound = _cross_box(beta, r)
     box = enum_box(bound)
-    lattice = np.array(box, dtype=np.int64)
+    lattice = _lattice(bound)
     return list(itertools.compress(box, _inside(lattice, lattice @ np.asarray(beta), beta, r)))
 
 
@@ -242,9 +247,7 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     # one lattice enumeration covers every r; the tail adds enough margin
     # that the discarded remainder is below 2^-60 of the retained sum
     margin = tuple(int(math.ceil(62.0 / a)) for a in alpha)
-    bound = tuple(
-        int(math.floor(r_max / b + 1e-9)) + m for b, m in zip(beta, margin)
-    )
+    bound = tuple(b + m for b, m in zip(_cross_box(beta, r_max), margin))
     lattice = _lattice(bound)
     wbeta = lattice @ np.asarray(beta)
     walpha = lattice @ np.asarray(alpha)

@@ -18,6 +18,7 @@ from .grid import Grid, GridFunction, lp_norm
 from .projectors import (
     Decomposition,
     DetailCoeffs,
+    _detail_values,
     analyze,
     project_level,
     synthesize,
@@ -88,10 +89,16 @@ def random_resolved(grid: Grid, k, degrees, rng: np.random.Generator) -> GridFun
 
 
 def detail_components(dec: Decomposition) -> Iterator[tuple[tuple[int, ...], GridFunction]]:
-    """Each block synthesized on its own, one at a time, as (kappa, function) pairs."""
+    """Each block evaluated on its own, one at a time, as (kappa, function) pairs.
+
+    A detail block is a tensor product of one-cell wavelet tables, so it is
+    evaluated by d axis products, one per axis, with no pass through the
+    synthesis pyramid. The per-axis tables, at most d (K + 1), are built once
+    per call and dropped with the generator.
+    """
+    tables: dict = {}
     for kappa, block in dec.blocks.items():
-        single = Decomposition(dec.grid, dec.degrees, ("custom", (kappa,)), {kappa: block})
-        yield kappa, synthesize(single)
+        yield kappa, GridFunction(dec.grid, _detail_values(dec.grid, block, tables))
 
 
 def _root_sum_squares(grid: Grid, parts: Iterable[GridFunction]) -> GridFunction:

@@ -11,7 +11,9 @@ transposed steps from level 0 up to level K and evaluates the finest
 cells. Every step applies one small matrix to runs of consecutive entries
 along one axis, so an axis of M nodes costs O(M (l+1)) time and memory.
 Every detail block is a slice of the coefficient tensor, laid out as
-_block_range says.
+_block_range says. One block on its own needs no pyramid: it is a tensor
+product of one-cell wavelet tables (_wavelet_table), so _detail_values
+evaluates it with d axis products, one per axis.
 """
 
 from __future__ import annotations
@@ -88,6 +90,38 @@ def _cell_values(grid: Grid, coeffs: np.ndarray, kappa, degrees) -> np.ndarray:
     for j in range(grid.d):
         coeffs = _axis_product(_scaling_block(grid, j, kappa[j], degrees[j]), coeffs, j)
     return coeffs
+
+
+def _wavelet_table(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
+    """Level-m detail basis of one axis at the nodes of its first cell, (n_loc, degree+1).
+
+    Level 0 is the scaling basis of the unit interval. Level m >= 1 holds the
+    wavelets of the first level-(m-1) cell: on each of its two level-m halves,
+    the half's Legendre polynomials with the coefficients of G, the wavelet
+    half of the two-scale matrix.
+    """
+    table = _scaling_block(grid, axis, m, degree)
+    if m == 0:
+        return table
+    r = degree + 1
+    g = _two_scale_matrix(degree)[:, r:]
+    return np.vstack([table @ g[:r], table @ g[r:]])
+
+
+def _detail_values(grid: Grid, block: DetailCoeffs, tables: dict) -> np.ndarray:
+    """Node values of one detail block: one _axis_product per axis, no pyramid.
+
+    tables maps (axis, m) to that axis's _wavelet_table at level m and is
+    filled on first use, so a caller evaluating many blocks builds each of
+    the at most d (K + 1) tables once.
+    """
+    roots = tuple(l + 1 for l in block.degrees)
+    values = _join_cells(block.coeffs, block.cells_shape, roots)
+    for j, (m, l) in enumerate(zip(block.kappa, block.degrees)):
+        if (j, m) not in tables:
+            tables[j, m] = _wavelet_table(grid, j, m, l)
+        values = _axis_product(tables[j, m], values, j)
+    return values
 
 
 def _split_cells(x: np.ndarray, cells, roots) -> np.ndarray:

@@ -19,10 +19,12 @@ import numpy as np
 from .basis import detail_dim
 from .grid import GridFunction, lp_norm
 from .indexing import (
+    _cross_box,
+    _inside,
+    _lattice,
     cross_contains,
     enum_box,
     enum_cross,
-    enum_shell,
     min_multiplicity,
     minimal_slots,
 )
@@ -141,6 +143,11 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     order: eps from the beta margins (eps = mu when every slot is minimal
     and no margin constrains it), gamma from its three conditions, then
     gamma_prime below min(gamma, 2 eps).
+
+    Cost: one integer lattice over the box of the outer cross at r + j0 and
+    one membership mask (indexing._inside) per radius r..r+j0; each shell is
+    the difference of two neighbouring masks.  Budgets and block dimensions
+    stay exact Python ints, since they pass 2^63 at large r.
     """
     r = int(r)
     if r < 1:
@@ -178,17 +185,28 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
         caps.append(m_narrow / (3.0 * (m_wide - m_narrow)))
     gamma = min(caps) / 2.0
     gamma_prime = min(gamma, 2.0 * epsilon) / 2.0
-    degrees = tuple(l - 1 for l in params.l)
     c0 = math.prod(params.l)
     j0 = math.floor(r / (3.0 * gamma))
+    # one lattice over the outer box serves every shell and the cross itself
+    lattice = _lattice(_cross_box(beta, r + j0))
+    w = lattice @ np.asarray(beta)
+    off = np.zeros(len(lattice))
+    for i in others:
+        off = off + lattice[:, i] * beta[i]
+    # block dimension c0 2^cells_log2, kept as an exact int: it passes 2^63 at large r
+    cells_log2 = np.maximum(lattice - 1, 0).sum(axis=1)
+    inner = _inside(lattice, w, beta, r)
+    cross_dim = sum(c0 << cells for cells in cells_log2[inner].tolist())
     allocation = {}
     for j in range(1, j0 + 1):
-        for kappa in enum_shell(beta, r + j):
-            cap = detail_dim(kappa, degrees)
-            off = sum(kappa[i] * beta[i] for i in others)
-            raw = c0 * 2.0 ** (r - gamma * j - gamma_prime * off)
-            allocation[kappa] = min(math.floor(raw) + 1, cap)
-    cross_dim = sum(detail_dim(kappa, degrees) for kappa in enum_cross(beta, r))
+        outer = _inside(lattice, w, beta, r + j)
+        rows = np.flatnonzero(outer & ~inner)
+        expo = r - gamma * j - gamma_prime * off[rows]
+        for kappa, e, cells in zip(lattice[rows].tolist(), expo.tolist(),
+                                   cells_log2[rows].tolist()):
+            raw = c0 * 2.0 ** e
+            allocation[tuple(kappa)] = min(math.floor(raw) + 1, c0 << cells)
+        inner = outer
     return BudgetPlan(
         r=r,
         j0=j0,

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from polymra.basis import detail_dim
 from polymra.grid import GridFunction
-from polymra.indexing import support
+from polymra.indexing import enum_cross, enum_shell, minimal_slots, support
 from polymra.projectors import project_level
 from polymra.quadrature import interval_basis_table
 
@@ -362,6 +363,28 @@ def cross_tail_sq_brute(alpha, beta, r, box=None):
             continue
         total += 4.0 ** -sum(k * a for k, a in zip(kappa, alpha))
     return total
+
+
+def budget_allocation_brute(plan, beta, params):
+    """(allocation, cross_dim) of a budget plan, one enumerated shell at a time.
+
+    Takes the plan's frozen constants and walks the shells r < (kappa, beta)
+    <= r + j0 through enum_shell, each block on its own in Python ints;
+    budget_plan derives the same from one lattice over the outer box.
+    """
+    r, j0, c0 = plan.r, plan.j0, plan.c0
+    gamma, gamma_prime = plan.gamma, plan.gamma_prime
+    degrees = tuple(l - 1 for l in params.l)
+    others = [j for j in range(len(beta)) if j not in minimal_slots(params.alpha)]
+    allocation = {}
+    for j in range(1, j0 + 1):
+        for kappa in enum_shell(beta, r + j):
+            cap = detail_dim(kappa, degrees)
+            off = sum(kappa[i] * beta[i] for i in others)
+            raw = c0 * 2.0 ** (r - gamma * j - gamma_prime * off)
+            allocation[kappa] = min(math.floor(raw) + 1, cap)
+    cross_dim = sum(detail_dim(kappa, degrees) for kappa in enum_cross(beta, r))
+    return allocation, cross_dim
 
 
 def maximal_function_brute(f):

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import polymra.lp_analysis
+import polymra.projectors
 from polymra import (
     Decomposition,
     DyadicCube,
@@ -32,7 +34,7 @@ def _l2(grid, values):
 
 
 def _detail(f, kappa, degs):
-    # the library's detail projection: one analysed block synthesized on its own
+    # the library's detail projection: one analysed block evaluated on its own
     kappa = tuple(kappa)
     return dict(detail_components(analyze(f, [kappa], degs)))[kappa]
 
@@ -117,6 +119,33 @@ def test_detail_routes_agree(rng):
         assert _l2(g, a.values - b.values) < 1e-10
         assert _l2(g, a.values - c.values) < 1e-10
         assert block.l2_norm() == pytest.approx(_l2(g, b.values), abs=1e-12)
+
+
+@pytest.mark.parametrize("degs, K", [((2,), 4), ((0, 1), 3), ((0, 1, 2), 2)])
+def test_detail_components_match_the_one_block_pyramid(rng, degs, K):
+    # the full box holds blocks with kappa_j = 0 and kappa_j = K on every axis
+    g = grid_for(len(degs), degree=degs, level=K)
+    f = g.function(rng.standard_normal(g.shape))
+    dec = analyze(f, ("box", (K,) * g.d), degs)
+    seen = []
+    for kappa, comp in detail_components(dec):
+        single = Decomposition(g, dec.degrees, ("custom", (kappa,)), {kappa: dec.blocks[kappa]})
+        ref = synthesize(single).values
+        assert np.abs(comp.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        seen.append(kappa)
+    assert seen == list(dec.blocks)
+
+
+def test_detail_components_never_synthesize(rng, monkeypatch):
+    calls = []
+    for module in (polymra.projectors, polymra.lp_analysis):
+        original = module.synthesize
+        monkeypatch.setattr(module, "synthesize",
+                            lambda dec, original=original: calls.append(1) or original(dec))
+    g = grid_for(2, degree=1, level=3)
+    f = g.function(rng.standard_normal(g.shape))
+    parts = dict(detail_components(analyze(f, ("box", (3, 3)), (1, 1))))
+    assert len(parts) == 16 and calls == []
 
 
 def test_mutual_annihilation(rng):

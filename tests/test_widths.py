@@ -24,7 +24,7 @@ from polymra.widths import (
     width_model_exponents,
 )
 
-from oracles import cross_tail_sq_brute
+from oracles import budget_allocation_brute, cross_tail_sq_brute
 
 
 def params2(alpha=(1.0, 1.0), p=2.0, theta=2.0):
@@ -208,6 +208,18 @@ class TestBudgetPlan:
         assert plan.j0 == 12
         assert plan.epsilon == 0.5
         assert plan.total == 919
+
+    @pytest.mark.parametrize("alpha, r", [((1.0, 1.0, 1.0), 8), ((1.0, 2.0), 10),
+                                          ((0.8, 1.3, 2.0), 9), ((1.0,), 70)])
+    def test_allocation_matches_the_shell_by_shell_oracle(self, alpha, r):
+        # at alpha=(1,), r=70 budgets and block dimensions exceed 2^63: exact ints only
+        params = SmoothnessParams(alpha=alpha)
+        beta = choose_beta(params, 2.0)
+        plan = budget_plan(r, beta, params, 2.0)
+        allocation, cross_dim = budget_allocation_brute(plan, beta, params)
+        assert plan.allocation == allocation
+        assert plan.cross_dim == cross_dim
+        assert all(type(n) is int for n in plan.allocation.values())
 
     def test_hypotheses_are_enforced(self):
         with pytest.raises(ValueError, match="q >= max"):
