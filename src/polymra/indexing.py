@@ -12,11 +12,13 @@ float(0.4) > 2/5) and any larger excess is left out. Two weights that round
 to the same float cannot be told apart by any rule. One array rule decides
 membership for every row of an integer array of multi-levels from the float
 weights w = lattice @ beta (cross_contains is its one-row case): w decides
-outside the band |w - r| <= (d + 1) 2^-52 w, and rows inside it are redone
-exactly. The band holds in any summation order: a length-d dot product of
-nonnegative terms lies within d 2^-53 w of its exact value (to first order)
-under any grouping, and (kappa, lo) within 2^-53 w of (kappa, beta): half
-the band. enum_cross, enum_shell, counting_ratios and widths use this rule.
+outside the band |w - r| <= (d + 1) 2^-52 w, and the rows inside it are
+decided together by one exact integer comparison, with 2 lo_j and 2 r
+scaled to Python ints by the lcm of their denominators. The band holds in
+any summation order: a length-d dot product of nonnegative terms lies within
+d 2^-53 w of its exact value (to first order) under any grouping, and
+(kappa, lo) within 2^-53 w of (kappa, beta): half the band. enum_cross,
+enum_shell, counting_ratios and widths use this rule.
 
 Which slots of a smoothness vector attain its minimum is decided with a
 1e-12 relative tolerance (minimal_slots); the admissible weight sets are
@@ -149,30 +151,21 @@ def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(int(x) + 1) for x in k)))
 
 
-def _exactly_inside(kappa: Sequence[int], beta: Sequence[float], r: float) -> bool:
-    """(kappa, lo) <= r in exact arithmetic, lo_j the smallest real rounding to beta_j.
-
-    2 lo_j is beta_j plus its lower float neighbour, and k beta_j is a sum of
-    power-of-two multiples of beta_j, so every term below is an exact float
-    and fsum's correctly rounded total has the sign of the exact one.
-    """
-    terms = [-2.0 * r]
-    for k, b in zip(kappa, beta):
-        lower = math.nextafter(b, 0.0)
-        j = 0
-        while k:
-            if k & 1:
-                terms += (math.ldexp(b, j), math.ldexp(lower, j))
-            k >>= 1
-            j += 1
-    return math.fsum(terms) <= 0.0
-
-
 def _inside(lattice: np.ndarray, w: np.ndarray, beta: Sequence[float], r: float) -> np.ndarray:
-    """Cross membership of each row of an (N, d) integer array; w = lattice @ beta."""
+    """Cross membership of each row of an (N, d) integer array; w = lattice @ beta.
+
+    Rows in the rounding band are decided at once in exact integers: 2 lo_j
+    is beta_j plus its lower float neighbour, and 2 lo_j and 2 r, scaled by
+    the lcm of their (power-of-two) denominators, are Python ints.
+    """
     inside = w < r
-    for i in np.flatnonzero(np.abs(w - r) <= (len(beta) + 1) * _EPS * w):
-        inside[i] = _exactly_inside(lattice[i].tolist(), beta, r)
+    band = np.flatnonzero(np.abs(w - r) <= (len(beta) + 1) * _EPS * w)
+    if len(band):
+        twice_lo = [Fraction(b) + Fraction(math.nextafter(b, 0.0)) for b in beta]
+        two_r = 2 * Fraction(r)
+        scale = math.lcm(two_r.denominator, *(t.denominator for t in twice_lo))
+        weights = np.array([int(t * scale) for t in twice_lo], dtype=object)
+        inside[band] = lattice[band].astype(object) @ weights <= int(two_r * scale)
     return inside
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction, box_lp_norm, grid_for, lp_norm
 from .lp_analysis import detail_components
-from .projectors import analyze
+from .projectors import analyze, synthesize
 
 __all__ = [
     "SmoothnessParams",
@@ -244,6 +244,9 @@ def decay_check(f: GridFunction, params: SmoothnessParams, q: float) -> dict:
     For every nonzero multi-level of the full box the ratio
     ||detail block||_q / 2^-(kappa, alpha - (1/p - 1/q)_+ e) is returned;
     for a function of unit class seminorm these stay uniformly bounded.
+    Every block is evaluated on the grid and its norm taken by quadrature,
+    at q = 2 too: this is the measurement, independent of the coefficient
+    norms, against which the tests check synthesize_extremal.
     """
     grid = f.grid
     if len(params.alpha) != grid.d:
@@ -267,6 +270,12 @@ def synthesize_extremal(params: SmoothnessParams, level: int, seed) -> GridFunct
     Every detail block of the full box is drawn at random and rescaled so
     its L_p norm hits the decay profile exactly; block orthogonality keeps
     the profile intact in the sum.  The hard input for width experiments.
+
+    Cost: one analysis of the noise and one synthesis of the rescaled
+    coefficients, both linear in the grid.  At p = 2 a block's norm is the
+    Euclidean norm of its orthonormal coefficients (the Gauss rule of
+    grid_for integrates products of two basis polynomials exactly); at any
+    other p each block is evaluated on the grid once for its quadrature norm.
     """
     d = len(params.alpha)
     degrees = tuple(lj - 1 for lj in params.l)
@@ -274,11 +283,14 @@ def synthesize_extremal(params: SmoothnessParams, level: int, seed) -> GridFunct
     rng = np.random.default_rng(seed)
     noise = GridFunction(grid, rng.standard_normal(grid.shape))
     dec = analyze(noise, ("box", (level,) * d), degrees)
-    out = np.zeros(grid.shape)
-    for kappa, gk in detail_components(dec):
-        nrm = lp_norm(gk, params.p)
+    if params.p == 2.0:
+        norms = ((kappa, blk.l2_norm()) for kappa, blk in dec.blocks.items())
+    else:
+        norms = ((kappa, lp_norm(gk, params.p)) for kappa, gk in detail_components(dec))
+    for kappa, nrm in norms:
         if nrm == 0.0:
             raise ValueError(f"degenerate random draw: block {kappa} vanished")
         target = 2.0 ** -sum(k * a for k, a in zip(kappa, params.alpha))
-        out += (target / nrm) * gk.values
-    return GridFunction(grid, out)
+        # DetailCoeffs is frozen but its array is not; dec is private to this call
+        dec.blocks[kappa].coeffs[...] *= target / nrm
+    return synthesize(dec)

@@ -76,7 +76,8 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
     The error is measured within the resolution of f's grid, with detail
     blocks of the given per-axis degrees; the dimension counts the whole
     cross subspace with no resolution cap, so it can exceed what the grid
-    resolves.
+    resolves.  Cost: one analysis of f, then the per-radius work of
+    _truncate on its coefficients.
     """
     grid = f.grid
     beta = tuple(float(b) for b in beta)
@@ -85,8 +86,17 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
     if r < 1:
         raise ValueError(f"cross radius must be >= 1, got {r}")
     degrees = tuple(int(x) for x in degrees)
-    n = sum(detail_dim(kappa, degrees) for kappa in enum_cross(beta, r))
-    dec = analyze(f, ("box", (grid.level,) * grid.d), degrees)
+    return _truncate(analyze(f, ("box", (grid.level,) * grid.d), degrees), beta, r, q)
+
+
+def _truncate(dec: Decomposition, beta: tuple[float, ...], r, q: float) -> tuple[float, int]:
+    """truncation_error on an analyzed function: (L_q error, cross dimension).
+
+    At q = 2 the error is the root sum of the dropped blocks' coefficient
+    energies (Parseval); at any other q the dropped blocks are synthesized
+    once and their sum measured by quadrature.
+    """
+    n = sum(detail_dim(kappa, dec.degrees) for kappa in enum_cross(beta, r))
     dropped = {
         kappa: blk for kappa, blk in dec.blocks.items() if not cross_contains(kappa, beta, r)
     }
@@ -96,7 +106,7 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
         err = math.sqrt(sum(blk.l2_norm() ** 2 for blk in dropped.values()))
         return err, n
     tail = synthesize(
-        Decomposition(grid=grid, degrees=dec.degrees, index_set=dec.index_set, blocks=dropped)
+        Decomposition(grid=dec.grid, degrees=dec.degrees, index_set=dec.index_set, blocks=dropped)
     )
     return lp_norm(tail, q), n
 
@@ -300,7 +310,8 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
     measured error, the model width value and their ratio.  With p = q = 2
     the sub-resolution remainder of the profile is added in closed form, so
     the reported error does not depend on the grid level; other exponents
-    report the within-resolution error.
+    report the within-resolution error.  Each profile is analyzed once and
+    every radius truncates the same coefficients.
     """
     params = config.params
     if config.condition_margin() <= 0.0:
@@ -309,15 +320,17 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
     degrees = tuple(l - 1 for l in params.l)
     power, log_power = width_model_exponents(params, config.q)
     complete = params.p == 2.0 and config.q == 2.0
+    box = ("box", (config.level,) * params.d)
     profiles = [
-        synthesize_extremal(params, config.level, config.seed + t) for t in range(config.trials)
+        analyze(synthesize_extremal(params, config.level, config.seed + t), box, degrees)
+        for t in range(config.trials)
     ]
     rows = []
     for r in config.r_values:
         errs = []
         n = 0
-        for f in profiles:
-            err, n = truncation_error(f, beta, r, config.q, degrees=degrees)
+        for dec in profiles:
+            err, n = _truncate(dec, beta, r, config.q)
             if complete:
                 err = math.sqrt(err**2 + _profile_tail_sq(params.alpha, beta, r, config.level))
             errs.append(err)

@@ -122,6 +122,17 @@ def test_enum_cross_matches_rational_oracle(beta, r):
     assert set(cross_enum_fractions(beta, r)) <= set(got)
 
 
+@pytest.mark.parametrize(
+    "beta, r",
+    [((1.0, 1.0, 1.0), r) for r in range(3, 13)]
+    + [((0.4,), 2), ((1.0, 0.4, 1.4142135623730951), 2.5), ((1.0, 0.4, 1.4142135623730951), 7)],
+)
+def test_enum_cross_decides_a_band_dense_radius_exactly(beta, r):
+    # every row on the radius lies inside the rounding band, so the exact
+    # integer comparison decides all of them at once
+    assert enum_cross(beta, r) == cross_enum_fractions([rounding_floor(b) for b in beta], r)
+
+
 def test_enum_shell():
     assert enum_shell((1.0,), 4) == [(4,)]
     assert set(enum_shell((1.0, 1.0), 2)) == {(2, 0), (1, 1), (0, 2)}

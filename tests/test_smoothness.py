@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polymra.lp_analysis
+import polymra.projectors
+import polymra.smoothness
 from polymra.grid import GridFunction, grid_for, lp_norm
 from polymra.lp_analysis import detail_components, lp_equivalence
 from polymra.projectors import Decomposition, analyze, synthesize
@@ -349,3 +352,30 @@ def test_component_consumers_hold_a_few_blocks_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < 8 * grid_bytes, (name, peak / grid_bytes)
+
+
+def test_profile_is_built_in_coefficient_space(monkeypatch):
+    # at p = 2 each block's norm is its coefficient norm, so no block is
+    # evaluated on the grid and one synthesis builds the whole profile
+    counts = {"_detail_values": 0, "synthesize": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for mod in (polymra.projectors, polymra.lp_analysis):
+        monkeypatch.setattr(mod, "_detail_values", counted("_detail_values", mod._detail_values))
+    monkeypatch.setattr(polymra.smoothness, "synthesize", counted("synthesize", synthesize))
+    params = SmoothnessParams((0.5, 1.5, 2.5), p=2.0)
+    assert tuple(lj - 1 for lj in params.l) == (0, 1, 2)
+    f = synthesize_extremal(params, 3, seed=4)
+    assert counts == {"_detail_values": 0, "synthesize": 1}
+    monkeypatch.undo()
+    # the quadrature norm of every block hits the profile
+    dec = analyze(f, ("box", (3, 3, 3)), (0, 1, 2))
+    for kappa, gk in detail_components(dec):
+        want = 2.0 ** -sum(k * a for k, a in zip(kappa, params.alpha))
+        assert lp_norm(gk, 2.0) == pytest.approx(want, rel=1e-12), kappa

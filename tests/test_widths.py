@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polymra.smoothness
+import polymra.widths
 from polymra.basis import detail_dim
 from polymra.grid import GridFunction, grid_for
 from polymra.indexing import minimal_slots
@@ -295,6 +297,28 @@ class TestWidthExperiment:
     def test_deterministic_rows(self):
         cfg = WidthExperimentConfig(params=params2(), level=4, r_values=(3, 4), seed=7)
         assert width_experiment(cfg) == width_experiment(cfg)
+
+    def test_each_profile_is_analyzed_once(self, monkeypatch):
+        # one analysis inside synthesize_extremal and one of the profile,
+        # not one per radius; every radius truncates the same coefficients
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(polymra.smoothness, "analyze", counted)
+        monkeypatch.setattr(polymra.widths, "analyze", counted)
+        cfg = WidthExperimentConfig(
+            params=params2(), q=3.0, level=4, r_values=(3, 4, 5, 6, 7, 8), trials=1, seed=4
+        )
+        rows = width_experiment(cfg)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        f = synthesize_extremal(cfg.params, cfg.level, cfg.seed)
+        beta = choose_beta(cfg.params, cfg.q)
+        for row in rows:
+            assert (row["error"], row["n"]) == truncation_error(f, beta, row["r"], 3.0, (1, 1))
 
     def test_digest_tracks_the_config(self):
         a = WidthExperimentConfig(params=params2(), level=4, r_values=(3, 4), seed=7)
