@@ -192,9 +192,9 @@ def _cmd_lp_sweep(args) -> int:
     k = (args.K,) * args.d
     rows = []
     updates = {}
-    for p in args.p:
-        rep = lp_report(grid, k, degrees, p, trials=args.trials,
+    reports = lp_report(grid, k, degrees, args.p, trials=args.trials,
                         sign_trials=args.sign_trials, seed=args.seed)
+    for p, rep in zip(args.p, reports):
         rows.extend(rep.rows())
         updates[f"lp_square_d{args.d}_p{p!r}"] = [rep.square_ratio["min"], rep.square_ratio["max"]]
         updates[f"pstar_d{args.d}_p{p!r}"] = rep.pstar["max"]

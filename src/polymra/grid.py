@@ -100,7 +100,8 @@ class Grid:
         """
         out = np.asarray(values, dtype=float)
         for w in reversed(self.axis_weights):
-            out = np.tensordot(out, w[: out.shape[-1]], axes=([out.ndim - 1], [0]))
+            n = out.shape[-1]
+            out = np.dot(out.reshape(-1, n), w[:n]).reshape(out.shape[:-1])
         return float(out)
 
     def cube_slices(self, cube) -> tuple[slice, ...]:

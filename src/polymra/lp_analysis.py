@@ -113,32 +113,41 @@ def square_function(dec: Decomposition) -> GridFunction:
     return _root_sum_squares(dec.grid, (g for _, g in detail_components(dec)))
 
 
-def _norm_ratios(dec: Decomposition, p: float) -> tuple[float, float, float]:
-    """(||f_k||_p, square-function ratio, p*-aggregate ratio) of one decomposition.
+def _norm_ratios(
+    dec: Decomposition, ps: Sequence[float]
+) -> tuple[tuple[float, float, float], ...]:
+    """(||f_k||_p, square-function ratio, p*-aggregate ratio) of one decomposition, per p.
 
     f_k is the synthesized decomposition; the square-function ratio is
     ||S f_k||_p / ||f_k||_p and the p*-aggregate ratio is
     ||f_k||_p / (sum_kappa ||detail_kappa||_p^(p*))^(1/p*) with p* = min(2, p).
-    One pass over the components feeds both ratios, one component alive at a
+    One pass over the components feeds every p, one component alive at a
     time; their running sum is f_k, since the blocks cover the decomposition.
+    The cost is one evaluation per block, the square function and f_k built
+    once, and (blocks + 2) quadrature norms per p. One triple per p, in the
+    order of ps.
     """
     norms = []
     total = np.zeros(dec.grid.shape)
 
     def measured():
         for _, g in detail_components(dec):
-            norms.append(lp_norm(g, p))
+            norms.append([lp_norm(g, p) for p in ps])
             np.add(total, g.values, out=total)
             yield g
 
     square_fn = _root_sum_squares(dec.grid, measured())
-    norm_p = lp_norm(GridFunction(dec.grid, total), p)
-    pstar = min(2.0, p)
-    agg = sum(n ** pstar for n in norms) ** (1.0 / pstar)
-    if norm_p == 0.0 or agg == 0.0:
-        raise ValueError("zero function has no norm ratio")
-    square = lp_norm(square_fn, p) / norm_p
-    return norm_p, square, norm_p / agg
+    total_fn = GridFunction(dec.grid, total)
+    out = []
+    for i, p in enumerate(ps):
+        norm_p = lp_norm(total_fn, p)
+        pstar = min(2.0, p)
+        agg = sum(n[i] ** pstar for n in norms) ** (1.0 / pstar)
+        if norm_p == 0.0 or agg == 0.0:
+            raise ValueError("zero function has no norm ratio")
+        square = lp_norm(square_fn, p) / norm_p
+        out.append((norm_p, square, norm_p / agg))
+    return tuple(out)
 
 
 def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
@@ -148,7 +157,7 @@ def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
     in the resolved space; at p=2 the ratio is identically 1.
     """
     p = _check_p_open(p)
-    return _norm_ratios(analyze(f, ("box", k), degrees), p)[1]
+    return _norm_ratios(analyze(f, ("box", k), degrees), (p,))[0][1]
 
 
 def _signed(dec: Decomposition, signs) -> Decomposition:
@@ -186,7 +195,7 @@ def pstar_ratio(f: GridFunction, p: float, k, degrees) -> float:
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must lie in [1, infinity), got {p}")
-    return _norm_ratios(analyze(f, ("box", k), degrees), p)[2]
+    return _norm_ratios(analyze(f, ("box", k), degrees), (p,))[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -276,39 +285,55 @@ def lp_report(
     grid: Grid,
     k,
     degrees,
-    p: float,
+    ps: Sequence[float],
     trials: int = 50,
     sign_trials: int = 10,
     seed: int = 0,
-) -> LPReport:
-    """Ratio statistics over a random ensemble of resolved functions, 1 < p < infinity."""
+) -> tuple[LPReport, ...]:
+    """Ratio statistics over a random ensemble of resolved functions, one report per p.
+
+    Every p in ps (each 1 < p < infinity) is measured on the same ensemble:
+    per trial one draw, one analysis and one pass over the blocks
+    (_norm_ratios); per sign family one synthesis. Only the quadrature
+    norms are taken per p, so a sweep over m exponents costs one ensemble
+    plus m times the norms. Reports come in the order of ps.
+    """
     from .grid import _as_tuple
 
-    p = _check_p_open(p)
+    ps = tuple(_check_p_open(p) for p in ps)
+    if not ps:
+        raise ValueError("lp_report needs at least one p")
     k = _as_tuple(k, grid.d, "k")
     degs = _as_tuple(degrees, grid.d, "degrees")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    square_vals, pstar_vals, sign_vals = [], [], []
+    square_vals = [[] for _ in ps]
+    pstar_vals = [[] for _ in ps]
+    sign_vals = [[] for _ in ps]
     for _ in range(trials):
         f = random_resolved(grid, k, degs, rng)
         dec = analyze(f, ("box", k), degs)
-        norm_p, square, pstar = _norm_ratios(dec, p)
-        square_vals.append(square)
-        pstar_vals.append(pstar)
+        ratios = _norm_ratios(dec, ps)
+        for i, (_, square, pstar) in enumerate(ratios):
+            square_vals[i].append(square)
+            pstar_vals[i].append(pstar)
         for _ in range(sign_trials):
             fam = SignFamily.random(k, rng)
             signed = synthesize(_signed(dec, fam))
-            sign_vals.append(lp_norm(signed, p) / norm_p)
-    return LPReport(
-        p=p,
-        k=k,
-        degrees=degs,
-        trials=trials,
-        sign_trials=sign_trials,
-        seed=seed,
-        square_ratio=_stats(square_vals),
-        pstar=_stats(pstar_vals),
-        sign_ratio=_stats(sign_vals),
+            for i, p in enumerate(ps):
+                sign_vals[i].append(lp_norm(signed, p) / ratios[i][0])
+    return tuple(
+        LPReport(
+            p=p,
+            k=k,
+            degrees=degs,
+            trials=trials,
+            sign_trials=sign_trials,
+            seed=seed,
+            square_ratio=_stats(square_vals[i]),
+            pstar=_stats(pstar_vals[i]),
+            sign_ratio=_stats(sign_vals[i]),
+        )
+        for i, p in enumerate(ps)
     )

@@ -261,9 +261,6 @@ class Decomposition:
     def block_norms(self) -> dict[tuple[int, ...], float]:
         return {k: b.l2_norm() for k, b in self.blocks.items()}
 
-    def total_l2(self) -> float:
-        return float(np.sqrt(sum(b.l2_norm() ** 2 for b in self.blocks.values())))
-
 
 def resolve_index_set(index_set, d: int) -> tuple[tuple, list[tuple[int, ...]]]:
     """Normalize an index-set argument to (descriptor, list of multi-levels).

@@ -33,8 +33,9 @@ def in_band(fresh, old, factor=1.1):
 class TestEmpiricalConstants:
     def test_lp_square_bands(self, stored):
         grid = grid_for(1, degree=1, level=5)
-        for p in (1.5, 3.0, 4.0):
-            rep = lp_report(grid, (5,), (1,), p, trials=40, sign_trials=5, seed=7)
+        ps = (1.5, 3.0, 4.0)
+        reports = lp_report(grid, (5,), (1,), ps, trials=40, sign_trials=5, seed=7)
+        for p, rep in zip(ps, reports):
             lo, hi = stored[f"lp_square_d1_p{p!r}"]
             assert in_band(rep.square_ratio["min"], lo)
             assert in_band(rep.square_ratio["max"], hi)

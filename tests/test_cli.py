@@ -76,12 +76,26 @@ class TestLpSweep:
         assert float(sq["min"]) == pytest.approx(1.0, abs=1e-10)
         assert float(sq["max"]) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("p", ["1", "inf"])
+    @pytest.mark.parametrize("p", ["1", "inf", "2.0,1.0"])
     def test_p_outside_the_open_range_rejected(self, capsys, p):
         # the square-function equivalence holds only for 1 < p < infinity
         code = main(["lp-sweep", "--d", "1", "--K", "3", "--p", p, "--trials", "2"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_rows_of_one_p_do_not_depend_on_the_others(self, capsys):
+        # every p is measured on the same ensemble, so adding exponents to
+        # the sweep leaves each exponent's rows as they are
+        argv = ("lp-sweep", "--d", "1", "--K", "4", "--trials", "3", "--seed", "5")
+        _, both = run(capsys, *argv, "--p", "1.5,3.0")
+        _, alone = run(capsys, *argv, "--p", "3.0")
+
+        def rows_at_three(text):
+            lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+            return [ln for ln in lines[1:] if ln.split(",")[1] == "3.0"]
+
+        assert len(rows_at_three(alone)) == 3
+        assert rows_at_three(both) == rows_at_three(alone)
 
     def test_baselines_written(self, capsys, tmp_path):
         path = tmp_path / "empirical.json"

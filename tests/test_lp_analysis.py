@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import polymra.lp_analysis
 from polymra import Decomposition, DetailCoeffs, analyze, grid_for, lp_norm, synthesize
 from polymra.lp_analysis import (
     SignFamily,
@@ -263,10 +264,53 @@ def test_pstar_ratio_bounded_below_one_plus(rng):
 
 def test_lp_report_shape():
     g = grid_for(1, degree=0, level=3)
-    rep = lp_report(g, (3,), (0,), p=3.0, trials=5, sign_trials=3, seed=11)
+    (rep,) = lp_report(g, (3,), (0,), (3.0,), trials=5, sign_trials=3, seed=11)
     assert rep.square_ratio["min"] <= rep.square_ratio["mean"] <= rep.square_ratio["max"]
     assert rep.sign_ratio["max"] < np.inf and rep.sign_ratio["min"] > 0
     rows = rep.rows()
     assert {row["statistic"] for row in rows} == {"square_ratio", "pstar", "sign_ratio"}
     with pytest.raises(ValueError):
-        lp_report(g, (3,), (0,), p=3.0, trials=0)
+        lp_report(g, (3,), (0,), (3.0,), trials=0)
+
+
+def test_lp_report_measures_every_p_on_one_ensemble():
+    # no draw depends on p, so a joint sweep reports exactly what one call
+    # per p reports
+    g = grid_for(1, degree=1, level=4)
+    ps = (1.5, 3.0, 4.0)
+    joint = lp_report(g, (4,), (1,), ps, trials=4, sign_trials=3, seed=5)
+    assert [rep.p for rep in joint] == list(ps)
+    for p, rep in zip(ps, joint):
+        (alone,) = lp_report(g, (4,), (1,), (p,), trials=4, sign_trials=3, seed=5)
+        assert rep == alone, p
+
+
+def test_lp_report_checks_every_p_before_drawing(monkeypatch):
+    draws = []
+    monkeypatch.setattr(
+        polymra.lp_analysis, "random_resolved", lambda *args: draws.append(args)
+    )
+    g = grid_for(1, degree=0, level=3)
+    for ps in ((), (2.0, 1.0)):
+        with pytest.raises(ValueError):
+            lp_report(g, (3,), (0,), ps, trials=2)
+    assert draws == []
+
+
+def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
+    counts = {"analyze": 0, "synthesize": 0}
+
+    def counted(name):
+        fn = getattr(polymra.lp_analysis, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(polymra.lp_analysis, name, counted(name))
+    g = grid_for(1, degree=1, level=4)
+    lp_report(g, (4,), (1,), (1.5, 3.0, 4.0), trials=2, sign_trials=3, seed=5)
+    assert counts == {"analyze": 2, "synthesize": 2 * 3}
