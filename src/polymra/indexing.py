@@ -212,6 +212,22 @@ def _lattice(bound: Sequence[int]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _cross_tail(walpha: np.ndarray, outside: np.ndarray, alpha: Sequence[float],
+                bound: Sequence[int]) -> float:
+    """Sum of 2^-(kappa, alpha) over every kappa >= 0 outside a cross inside the box [0, bound].
+
+    walpha = lattice @ alpha on _lattice(bound), and outside marks the box
+    rows outside the cross.  Those rows are summed; every kappa beyond the
+    box is outside the cross and adds, with q_j = 2^-alpha_j and
+    F = prod 1/(1 - q_j), the closed form F (1 - prod (1 - q_j^(b_j+1)))
+    = F * -expm1(sum log1p(-q_j^(b_j+1))), which cancels nothing.
+    """
+    q = [2.0 ** -a for a in alpha]
+    full = math.prod(1.0 / (1.0 - qj) for qj in q)
+    beyond = full * -math.expm1(sum(math.log1p(-(qj ** (b + 1))) for qj, b in zip(q, bound)))
+    return float(np.sum(np.exp2(-walpha[outside]))) + beyond
+
+
 def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -> list[dict]:
     """Exact lattice sums against their model growth/decay expressions.
 
@@ -219,7 +235,10 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     (kappa, beta) <= r next to 2^(Mr) r^(C-1), and the tail sum of
     2^-(kappa, alpha) over (kappa, beta) > r next to 2^(-mr) r^(c-1), where
     M/m are the extreme entries of alpha/beta and C/c their multiplicities.
-    The tail is truncated where terms become negligible (< 2^-60 relative).
+
+    Memory: one integer lattice over the box enum_cross scans at r_max and
+    one membership mask (_inside) per radius.  The tail adds the terms
+    beyond that box in closed form (_cross_tail), so it is not truncated.
     """
     beta = tuple(float(b) for b in beta)
     alpha = tuple(float(a) for a in alpha)
@@ -237,10 +256,8 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
 
-    # one lattice enumeration covers every r; the tail adds enough margin
-    # that the discarded remainder is below 2^-60 of the retained sum
-    margin = tuple(int(math.ceil(62.0 / a)) for a in alpha)
-    bound = tuple(b + m for b, m in zip(_cross_box(beta, r_max), margin))
+    # one lattice over the largest cross's box covers every r
+    bound = _cross_box(beta, r_max)
     lattice = _lattice(bound)
     wbeta = lattice @ np.asarray(beta)
     walpha = lattice @ np.asarray(alpha)
@@ -249,7 +266,7 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
         inside = _inside(lattice, wbeta, beta, r)
         grow = float(np.sum(np.exp2(walpha[inside])))
         grow_model = float(2.0 ** (big * r) * r ** (big_mult - 1))
-        tail = float(np.sum(np.exp2(-walpha[~inside])))
+        tail = _cross_tail(walpha, ~inside, alpha, bound)
         tail_model = float(2.0 ** (-small * r) * r ** (small_mult - 1))
         rows.append(
             {

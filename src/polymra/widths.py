@@ -6,6 +6,13 @@ in the subspace dimension, up to logarithms.  This module builds the weight
 vector beta, measures truncation errors, allocates per-block budgets over
 the shells beyond the cross, and fits empirical rates against the model
 exponents.
+
+At p = q = 2 the detail subspaces are mutually orthogonal and the extremal
+profile's blocks have L_2 norms 2^-(kappa, alpha), so its squared
+truncation error is the lattice sum of 4^-(kappa, alpha) over the
+complement of the cross (Parseval): width_experiment computes it on one
+integer lattice over the box enum_cross scans at the largest radius, with
+no grid.  Other exponents are measured on a grid, within its resolution.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from .basis import detail_dim
 from .grid import GridFunction, lp_norm
 from .indexing import (
     _cross_box,
+    _cross_tail,
     _inside,
     _lattice,
     cross_contains,
-    enum_box,
     enum_cross,
     min_multiplicity,
     minimal_slots,
@@ -144,6 +151,16 @@ class BudgetPlan:
         return self.cross_dim + sum(self.allocation.values())
 
 
+def _cells_log2(lattice: np.ndarray) -> np.ndarray:
+    """log2 of the cell count of each block kappa (a row of lattice)."""
+    return np.maximum(lattice - 1, 0).sum(axis=1)
+
+
+def _dim_sum(c0: int, cells_log2: np.ndarray) -> int:
+    """Total dimension of blocks c0 2^cells, as an exact int: it passes 2^63 at large r."""
+    return sum(c0 << cells for cells in cells_log2.tolist())
+
+
 def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     """Block budgets n_kappa over the shells r < (kappa, beta) <= r + j0.
 
@@ -203,10 +220,9 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     off = np.zeros(len(lattice))
     for i in others:
         off = off + lattice[:, i] * beta[i]
-    # block dimension c0 2^cells_log2, kept as an exact int: it passes 2^63 at large r
-    cells_log2 = np.maximum(lattice - 1, 0).sum(axis=1)
+    cells_log2 = _cells_log2(lattice)
     inner = _inside(lattice, w, beta, r)
-    cross_dim = sum(c0 << cells for cells in cells_log2[inner].tolist())
+    cross_dim = _dim_sum(c0, cells_log2[inner])
     allocation = {}
     for j in range(1, j0 + 1):
         outer = _inside(lattice, w, beta, r + j)
@@ -279,62 +295,28 @@ class WidthExperimentConfig:
         return hashlib.sha1(repr(key).encode()).hexdigest()[:12]
 
 
-def _profile_tail_sq(alpha, beta, r, level: int) -> float:
-    """Squared L2 remainder of the exact decay profile below the grid resolution.
-
-    Closed form: the lattice sum of 4^-(kappa, alpha) factorizes into
-    geometric series per axis; subtracting the in-cross part and the
-    resolved out-of-cross part leaves the sub-resolution tail.
-    """
-    full = 1.0
-    for a in alpha:
-        full *= 1.0 / (1.0 - 4.0 ** -a)
-    resolved = 0.0
-    inside = 0.0
-    for kappa in enum_box((level,) * len(alpha)):
-        term = 4.0 ** -sum(k * a for k, a in zip(kappa, alpha))
-        if cross_contains(kappa, beta, r):
-            inside += term
-        else:
-            resolved += term
-    for kappa in enum_cross(beta, r):
-        if any(k > level for k in kappa):
-            inside += 4.0 ** -sum(k * a for k, a in zip(kappa, alpha))
-    return max(0.0, full - inside - resolved)
-
-
 def width_experiment(config: WidthExperimentConfig) -> list[dict]:
     """Truncation errors of extremal-profile functions across cross radii.
 
     Rows carry the config digest, the radius, the exact cross dimension, the
-    measured error, the model width value and their ratio.  With p = q = 2
-    the sub-resolution remainder of the profile is added in closed form, so
-    the reported error does not depend on the grid level; other exponents
-    report the within-resolution error.  Each profile is analyzed once and
-    every radius truncates the same coefficients.
+    error, the model width value and their ratio.  With p = q = 2 the error
+    is the exact lattice sum of the profile's dropped block energies
+    (_lattice_errors): it does not depend on the grid level, the seed or the
+    trials, and no grid is built.  Other exponents report the
+    within-resolution error of seeded random profiles on the grid, averaged
+    over the trials (_grid_errors).
     """
     params = config.params
     if config.condition_margin() <= 0.0:
         raise ValueError("width model needs min(alpha) > (1/p - 1/q)_+")
     beta = choose_beta(params, config.q)
-    degrees = tuple(l - 1 for l in params.l)
     power, log_power = width_model_exponents(params, config.q)
-    complete = params.p == 2.0 and config.q == 2.0
-    box = ("box", (config.level,) * params.d)
-    profiles = [
-        analyze(synthesize_extremal(params, config.level, config.seed + t), box, degrees)
-        for t in range(config.trials)
-    ]
+    if params.p == 2.0 and config.q == 2.0:
+        measured = _lattice_errors(params, beta, config.r_values)
+    else:
+        measured = _grid_errors(config, beta)
     rows = []
-    for r in config.r_values:
-        errs = []
-        n = 0
-        for dec in profiles:
-            err, n = _truncate(dec, beta, r, config.q)
-            if complete:
-                err = math.sqrt(err**2 + _profile_tail_sq(params.alpha, beta, r, config.level))
-            errs.append(err)
-        err = float(np.mean(errs))
+    for r, (err, n) in zip(config.r_values, measured):
         model = float(n) ** -power * math.log(float(n)) ** log_power
         rows.append(
             {
@@ -347,6 +329,54 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
             }
         )
     return rows
+
+
+def _lattice_errors(params: SmoothnessParams, beta, r_values) -> list[tuple[float, int]]:
+    """(L_2 error, cross dimension) per radius of the extremal profile at p = 2.
+
+    The profile's blocks are orthogonal with L_2 norms 2^-(kappa, alpha), so
+    the squared error is the sum of 4^-(kappa, alpha) = 2^-(kappa, 2 alpha)
+    outside the cross (indexing._cross_tail).  Memory: one integer lattice
+    over the box enum_cross scans at the largest radius, and one membership
+    mask per radius.
+    """
+    bound = _cross_box(beta, r_values[-1])
+    lattice = _lattice(bound)
+    w = lattice @ np.asarray(beta)
+    rates = tuple(2.0 * a for a in params.alpha)
+    walpha = lattice @ np.asarray(rates)
+    cells_log2 = _cells_log2(lattice)
+    c0 = math.prod(params.l)
+    out = []
+    for r in r_values:
+        inside = _inside(lattice, w, beta, r)
+        err = math.sqrt(_cross_tail(walpha, ~inside, rates, bound))
+        out.append((err, _dim_sum(c0, cells_log2[inside])))
+    return out
+
+
+def _grid_errors(config: WidthExperimentConfig, beta) -> list[tuple[float, int]]:
+    """(mean L_q error, cross dimension) per radius, measured on the grid.
+
+    Each trial's profile is synthesized at the config level, analyzed once,
+    and every radius truncates the same coefficients (_truncate).
+    """
+    params = config.params
+    degrees = tuple(l - 1 for l in params.l)
+    box = ("box", (config.level,) * params.d)
+    profiles = [
+        analyze(synthesize_extremal(params, config.level, config.seed + t), box, degrees)
+        for t in range(config.trials)
+    ]
+    out = []
+    for r in config.r_values:
+        errs = []
+        n = 0
+        for dec in profiles:
+            err, n = _truncate(dec, beta, r, config.q)
+            errs.append(err)
+        out.append((float(np.mean(errs)), n))
+    return out
 
 
 def rate_fit(points) -> tuple[float, float]:

@@ -17,6 +17,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINES = os.path.join(ROOT, "baselines", "empirical.json")
 GOLDEN_CZD = os.path.join(ROOT, "baselines", "golden_czd_demo.csv")
 REFERENCE_CZD_2D = os.path.join(ROOT, "perfbench", "reference", "czd.csv")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import report  # noqa: E402  (perfbench's report checker, read only)
+import spec  # noqa: E402  (perfbench's workload argv)
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +82,10 @@ class TestGoldenReport:
         with open(REFERENCE_CZD_2D) as fh:
             reference = fh.read()
         assert (tmp_path / "fresh.csv").read_text() == reference
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_widths_reports_match_references(self, capsys, seed):
+        # the benchmark's widths argv, checked the way the benchmark checks it
+        code = main(spec.argv("widths", seed))
+        assert code == 0
+        assert report.check("widths", seed, capsys.readouterr().out) == []

@@ -1,5 +1,6 @@
 """Dyadic cubes, index sets, and the lattice counting estimates."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polymra.indexing
 from polymra import (
     DyadicCube,
     counting_ratios,
@@ -198,6 +200,29 @@ def test_counting_brute_force_d2():
         if k1 + k2 > 4
     )
     assert row["tail_sum"] == pytest.approx(tail_brute, rel=1e-10)
+
+
+def test_counting_tail_scans_only_the_cross_box(monkeypatch):
+    # the tail beyond the box is closed form, so a slow decay widens nothing:
+    # a margin of ceil(62 / alpha_j) would make this box 631^3 points
+    bounds = []
+    lattice = polymra.indexing._lattice
+
+    def recording(bound):
+        bounds.append(tuple(bound))
+        # refuse a widened box before allocating it
+        assert math.prod(b + 1 for b in bound) <= 11**3, f"lattice over the box {tuple(bound)}"
+        return lattice(bound)
+
+    monkeypatch.setattr(polymra.indexing, "_lattice", recording)
+    beta = (1.0, 1.0, 1.0)
+    rows = counting_ratios(beta, (0.1, 0.1, 0.1), 10)
+    assert bounds == [polymra.indexing._cross_box(beta, 10)]
+    # exact tail: sum over s > r of C(s+2, 2) x^s with x = float(2^-0.1)
+    x = Fraction(2.0 ** -0.1)
+    for row in rows:
+        head = sum(math.comb(s + 2, 2) * x**s for s in range(row["r"] + 1))
+        assert row["tail_sum"] == pytest.approx(float((1 - x) ** -3 - head), rel=1e-12, abs=0.0)
 
 
 def test_counting_ratios_bounded_band():

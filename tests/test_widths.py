@@ -1,6 +1,7 @@
 """Tests for hyperbolic-cross truncation, budgets and rate fits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ class TestWidthExperiment:
         assert all(row["ratio"] <= 6.0 for row in rows)
 
     def test_reported_error_is_resolution_independent(self):
-        # the closed-form completion must cancel the grid-level dependence
+        # p = q = 2 rows depend on no grid level
         rows5 = width_experiment(
             WidthExperimentConfig(params=params2(), level=5, r_values=(4, 5, 6), seed=2)
         )
@@ -341,6 +342,67 @@ class TestWidthExperiment:
             WidthExperimentConfig(params=params2(), trials=0)
         with pytest.raises(ValueError, match="level"):
             WidthExperimentConfig(params=params2(), level=0)
+
+
+class TestLatticeRoute:
+    """p = q = 2 rows come from the lattice, with no grid."""
+
+    R = tuple(range(3, 9))
+
+    def test_rows_equal_the_rational_series(self):
+        # d = 3, alpha = beta = 1: 4^-s over the C(s+2, 2) blocks of shell s,
+        # and sum over s >= 0 of C(s+2, 2) x^s = (1 - x)^-3
+        cfg = WidthExperimentConfig(params=params2(alpha=(1.0,) * 3), level=4, r_values=self.R)
+        quarter = Fraction(1, 4)
+        for row in width_experiment(cfg):
+            head = sum(math.comb(s + 2, 2) * quarter**s for s in range(row["r"] + 1))
+            exact = math.sqrt(float((1 - quarter) ** -3 - head))
+            assert row["error"] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_asymmetric_rows_match_the_lattice_oracle(self):
+        params = params2(alpha=(0.8, 1.3))
+        beta = choose_beta(params, 2.0)
+        assert beta[1] != 1.0
+        rows = width_experiment(WidthExperimentConfig(params=params, level=3, r_values=self.R))
+        for row in rows:
+            oracle = cross_tail_sq_brute(params.alpha, beta, row["r"])
+            assert row["error"] ** 2 == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_no_grid_seed_or_trials(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the p = q = 2 route must not reach the grid")
+
+        for name in ("synthesize_extremal", "analyze", "synthesize", "enum_cross",
+                     "cross_contains"):
+            monkeypatch.setattr(polymra.widths, name, refuse)
+        params = params2(alpha=(1.0,) * 3)
+        runs = [
+            width_experiment(WidthExperimentConfig(
+                params=params, level=level, r_values=self.R, trials=trials, seed=seed))
+            for level, seed, trials in ((4, 7, 1), (9, 11, 3))
+        ]
+        assert len(runs[0]) == len(self.R)
+        strip = [[{k: v for k, v in row.items() if k != "config"} for row in rows]
+                 for rows in runs]
+        assert strip[0] == strip[1]
+
+    @pytest.mark.parametrize("alpha, level, radii", [((0.8, 1.3), 4, (2, 3, 4, 5, 6)),
+                                                     ((1.0, 1.0, 1.0), 3, (2, 3, 4))])
+    def test_grid_route_agrees_by_parseval(self, alpha, level, radii):
+        # the grid measures the resolved tail; the oracle adds the part below
+        # the resolution, the complement of the cross outside the level box
+        params = params2(alpha=alpha)
+        beta = choose_beta(params, 2.0)
+        degrees = tuple(l - 1 for l in params.l)
+        f = synthesize_extremal(params, level, 3)
+        rows = width_experiment(WidthExperimentConfig(params=params, level=level, r_values=radii))
+        for row in rows:
+            r = row["r"]
+            err, n = truncation_error(f, beta, r, 2.0, degrees)
+            below = (cross_tail_sq_brute(alpha, beta, r)
+                     - cross_tail_sq_brute(alpha, beta, r, box=level))
+            assert math.sqrt(err**2 + below) == pytest.approx(row["error"], rel=1e-9, abs=0.0)
+            assert n == row["n"]
 
 
 class TestRateFit:
