@@ -28,8 +28,6 @@ from .indexing import (
     enum_box,
     enum_cross,
     enum_shell,
-    nesting,
-    support,
 )
 from .lp_analysis import (
     LPReport,
@@ -52,7 +50,7 @@ from .projectors import (
     project_level,
     synthesize,
 )
-from .quadrature import gauss_rule, legendre_eval
+from .quadrature import gauss_rule
 from .smoothness import (
     ModulusTable,
     SmoothnessParams,
@@ -81,13 +79,11 @@ __all__ = [
     "grid_for",
     "lp_norm",
     "DyadicCube",
-    "nesting",
     "enum_box",
     "enum_cross",
     "enum_shell",
     "cross_contains",
     "counting_ratios",
-    "support",
     "wavelet_basis_1d",
     "detail_dim",
     "PiecewisePoly",
@@ -132,6 +128,5 @@ __all__ = [
     "width_experiment",
     "rate_fit",
     "gauss_rule",
-    "legendre_eval",
     "__version__",
 ]

@@ -9,6 +9,7 @@ are byte-identical and reports can serve as golden files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,11 +33,18 @@ __all__ = ["main"]
 # argument helpers
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _finite_float(text: str) -> float:
     try:
-        return tuple(float(x) for x in text.split(","))
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma separated numbers, got {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(_finite_float(x) for x in text.split(","))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -61,12 +69,18 @@ def _r_range(text: str) -> tuple[int, ...]:
 
 
 def _norm_exponent(text: str) -> float:
-    if text in ("inf", "Inf", "INF"):
-        return math.inf
+    """A norm exponent: any number or inf, never nan; the experiments check its range."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if math.isnan(value):
         raise argparse.ArgumentTypeError(f"expected a norm exponent or inf, got {text!r}")
+    return value
+
+
+def _exponent_list(text: str) -> tuple[float, ...]:
+    return tuple(_norm_exponent(x) for x in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +172,7 @@ def _cmd_verify_projectors(args) -> int:
         f = random_resolved(grid, k, degrees, rng)
         scale = lp_norm(f, 2.0)
         gaps["parseval"] = max(gaps["parseval"], parseval_gap(f, k, degrees) / scale**2)
-        dec = analyze(f, ("box", k), degrees)
+        dec = analyze(f, k, degrees)
         back = synthesize(dec)
         gaps["reconstruction"] = max(
             gaps["reconstruction"], float(np.abs(back.values - f.values).max()) / scale
@@ -170,7 +184,7 @@ def _cmd_verify_projectors(args) -> int:
         )
     small = grid_for(args.d, degree=degrees, level=2)
     g = random_resolved(small, (2,) * args.d, degrees, rng)
-    parts = dict(detail_components(analyze(g, ("box", (2,) * args.d), degrees)))
+    parts = dict(detail_components(analyze(g, 2, degrees)))
     for ka, ga in parts.items():
         for kb, gb in parts.items():
             if ka < kb:
@@ -323,7 +337,9 @@ def _add_common(sub, baselines=False):
         sub.add_argument("--baselines", default=os.path.join("baselines", "empirical.json"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every option is fixed at build time."""
     parser = argparse.ArgumentParser(
         prog="polymra",
         description="Dyadic multiresolution analysis: checks, sweeps and experiments.",
@@ -344,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--d", type=int, default=1, choices=(1, 2, 3))
     lp.add_argument("--degree", type=_int_list, default=(0,))
     lp.add_argument("--K", type=int, default=4)
-    lp.add_argument("--p", type=_float_list, default=(1.5, 2.0, 3.0))
+    lp.add_argument("--p", type=_exponent_list, default=(1.5, 2.0, 3.0))
     lp.add_argument("--trials", type=int, default=20)
     lp.add_argument("--sign-trials", type=int, default=5)
     lp.add_argument("--seed", type=int, default=0)
@@ -354,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     cz = subs.add_parser("czd", help="level set decomposition dump")
     cz.add_argument("--d", type=int, default=1, choices=(1, 2))
     cz.add_argument("--demo", choices=sorted(_DEMOS), default="bump")
-    cz.add_argument("--alpha", type=float, default=0.5, help="level threshold")
+    cz.add_argument("--alpha", type=_finite_float, default=0.5, help="level threshold")
     cz.add_argument("--K", type=int, default=6)
     _add_common(cz)
     cz.set_defaults(func=_cmd_czd)
@@ -362,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm = subs.add_parser("smoothness", help="seminorms and block decay")
     sm.add_argument("--d", type=int, default=1, choices=(1, 2, 3))
     sm.add_argument("--alpha", type=_float_list, default=(1.0,), help="smoothness vector")
-    sm.add_argument("--p", type=float, default=2.0)
+    sm.add_argument("--p", type=_norm_exponent, default=2.0)
     sm.add_argument("--theta", type=_norm_exponent, default=math.inf)
     sm.add_argument("--q", type=_norm_exponent, default=2.0)
     sm.add_argument("--K", type=int, default=5)
@@ -373,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     wd = subs.add_parser("widths", help="cross truncation rate experiment")
     wd.add_argument("--d", type=int, default=2, choices=(1, 2, 3))
     wd.add_argument("--alpha", type=_float_list, default=(1.0, 1.0))
-    wd.add_argument("--p", type=float, default=2.0)
+    wd.add_argument("--p", type=_norm_exponent, default=2.0)
     wd.add_argument("--q", type=_norm_exponent, default=2.0)
     wd.add_argument("--theta", type=_norm_exponent, default=2.0)
     wd.add_argument("--K", type=int, default=6)

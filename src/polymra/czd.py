@@ -220,11 +220,6 @@ class WhitneyDecomposition:
     def residual_bound(self) -> Fraction:
         return 2 * self.boundary_cells * Fraction(1, 2 ** self.resolution)
 
-    def dump(self) -> str:
-        """One cube per line: level then the position indices, for plotting."""
-        lines = [f"{q.level[0]} " + " ".join(str(v) for v in q.pos) for q in self.cubes]
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def _scaled_dist2(lo: np.ndarray, hi: np.ndarray, cells: np.ndarray,
                   side: int, surround: bool) -> np.ndarray:

@@ -9,6 +9,7 @@ quadrature degree on cells aligned with the partition.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -28,9 +29,13 @@ _DEFAULT_LEVEL = {1: 6, 2: 6, 3: 4}
 
 
 def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
-    if np.isscalar(value):
-        return (int(value),) * d
-    out = tuple(int(v) for v in value)
+    """An int for every axis, or one int per axis; anything else raises ValueError."""
+    try:
+        if np.isscalar(value):
+            return (operator.index(value),) * d
+        out = tuple(operator.index(v) for v in value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer or {d} integers, got {value!r}") from None
     if len(out) != d:
         raise ValueError(f"{name} must have length {d}, got {out}")
     return out
@@ -159,32 +164,6 @@ class GridFunction:
         if other.grid is not self.grid and other.grid.shape != self.grid.shape:
             raise ValueError("grid functions live on different grids")
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_grid(other)
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_grid(other)
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_grid(other)
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
-    def __abs__(self):
-        return GridFunction(self.grid, np.abs(self.values))
-
     def integral(self) -> float:
         return self.grid.integrate(self.values)
 
@@ -206,7 +185,7 @@ def box_lp_norm(grid: Grid, magnitudes: np.ndarray, p: float) -> float:
 
     Off the box f vanishes (see Grid.integrate); magnitudes is overwritten.
     """
-    if p != np.inf and p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == np.inf:
         return float(np.max(magnitudes))

@@ -1,7 +1,7 @@
 """Multi-index arithmetic, dyadic cube geometry, and lattice index sets.
 
 Cube geometry uses exact dyadic rationals (integer position, power-of-two
-denominator), so nesting and distance comparisons never suffer float ties.
+denominator), so edge comparisons never suffer float ties.
 
 Hyperbolic-cross membership (kappa, beta) <= r includes ties. The radius r
 is exact (an integer or a dyadic number such as 2.5); a float weight stands
@@ -37,24 +37,17 @@ import numpy as np
 
 __all__ = [
     "DyadicCube",
-    "nesting",
     "enum_box",
     "enum_cross",
     "enum_shell",
     "cross_contains",
     "counting_ratios",
-    "support",
     "minimal_slots",
     "min_multiplicity",
 ]
 
 _REL_TOL = 1e-12
 _EPS = 2.0 ** -52
-
-
-def support(kappa: Sequence[int]) -> frozenset[int]:
-    """Axes (0-based) where the entry is nonzero."""
-    return frozenset(j for j, k in enumerate(kappa) if k != 0)
 
 
 def minimal_slots(x: Sequence[float]) -> list[int]:
@@ -97,51 +90,8 @@ class DyadicCube:
     def width(self, axis: int) -> Fraction:
         return Fraction(1, 2 ** self.level[axis])
 
-    def volume(self) -> Fraction:
-        v = Fraction(1)
-        for j in range(self.d):
-            v *= self.width(j)
-        return v
-
     def diameter(self) -> float:
         return math.sqrt(sum(float(self.width(j)) ** 2 for j in range(self.d)))
-
-    def inside_unit_cube(self) -> bool:
-        return all(0 <= self.pos[j] < 2 ** self.level[j] for j in range(self.d))
-
-
-def _axis_relation(ka: int, va: int, kb: int, vb: int) -> str:
-    """Relation of two dyadic intervals: nested one way, the other, or disjoint."""
-    if ka >= kb:
-        return "a_in_b" if (va >> (ka - kb)) == vb else "disjoint"
-    return "b_in_a" if (vb >> (kb - ka)) == va else "disjoint"
-
-
-def nesting(a: DyadicCube, b: DyadicCube) -> str:
-    """Exact relation of two dyadic cubes.
-
-    One of "equal", "a_inside_b", "b_inside_a", "disjoint", or "overlap"
-    (the last only when the level vectors are incomparable axis by axis:
-    intersecting interiors without containment).
-    """
-    if a.d != b.d:
-        raise ValueError("cubes have different dimensions")
-    a_sub = True
-    b_sub = True
-    for j in range(a.d):
-        rel = _axis_relation(a.level[j], a.pos[j], b.level[j], b.pos[j])
-        if rel == "disjoint":
-            return "disjoint"
-        same = a.level[j] == b.level[j]
-        a_sub &= rel == "a_in_b" or same
-        b_sub &= rel == "b_in_a" or same
-    if a_sub and b_sub:
-        return "equal"
-    if a_sub:
-        return "a_inside_b"
-    if b_sub:
-        return "b_inside_a"
-    return "overlap"
 
 
 def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -157,7 +157,7 @@ def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
     in the resolved space; at p=2 the ratio is identically 1.
     """
     p = _check_p_open(p)
-    return _norm_ratios(analyze(f, ("box", k), degrees), (p,))[0][1]
+    return _norm_ratios(analyze(f, k, degrees), (p,))[0][1]
 
 
 def _signed(dec: Decomposition, signs) -> Decomposition:
@@ -169,9 +169,7 @@ def _signed(dec: Decomposition, signs) -> Decomposition:
         blocks[kappa] = DetailCoeffs(
             kappa=kappa, degrees=block.degrees, coeffs=s * block.coeffs
         )
-    return Decomposition(
-        grid=dec.grid, degrees=dec.degrees, index_set=dec.index_set, blocks=blocks
-    )
+    return Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=blocks)
 
 
 def sign_series(f: GridFunction, signs, p: float, k, degrees) -> float:
@@ -182,7 +180,7 @@ def sign_series(f: GridFunction, signs, p: float, k, degrees) -> float:
     hypotheses but computed all the same.
     """
     p = _check_p_open(p)
-    dec = analyze(f, ("box", k), degrees)
+    dec = analyze(f, k, degrees)
     return lp_norm(synthesize(_signed(dec, signs)), p)
 
 
@@ -195,7 +193,7 @@ def pstar_ratio(f: GridFunction, p: float, k, degrees) -> float:
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must lie in [1, infinity), got {p}")
-    return _norm_ratios(analyze(f, ("box", k), degrees), (p,))[0][2]
+    return _norm_ratios(analyze(f, k, degrees), (p,))[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +209,18 @@ def _axis_sign_table(k_axis: int, box_axis: int) -> np.ndarray:
     return table
 
 
-def khintchine_check(a, p: float) -> tuple[float, float, float]:
+def khintchine_check(a, p: float) -> tuple[float, float]:
     """Exact L_p norm of a Rademacher polynomial against its l2 coefficient norm.
 
     a is the coefficient array over a box (shape k+1 per axis). The sum
     sum_kappa a_kappa omega_kappa is piecewise constant on the level-(k+1)
-    dyadic partition, so the middle value is exact up to rounding. Returns
-    (l2 norm, exact L_p norm, l2 norm): the two-sided comparison scaffold.
+    dyadic partition, so its L_p norm is exact up to rounding. Returns
+    (l2 norm, exact L_p norm), the two sides of Khintchine's inequality.
     """
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must lie in [1, infinity), got {p}")
-    if isinstance(a, Mapping):
-        kappas = list(a)
-        k = tuple(max(key[j] for key in kappas) for j in range(len(kappas[0])))
-        arr = np.zeros(tuple(kj + 1 for kj in k))
-        for key, val in a.items():
-            arr[key] = val
-    else:
-        arr = np.asarray(a, dtype=float)
+    arr = np.asarray(a, dtype=float)
     k = tuple(s - 1 for s in arr.shape)
     values = arr
     for j, kj in enumerate(k):
@@ -238,9 +229,8 @@ def khintchine_check(a, p: float) -> tuple[float, float, float]:
             np.tensordot(table, values, axes=([0], [j])), 0, j
         )
     vol = float(np.prod([2.0 ** -(kj + 1) for kj in k]))
-    mid = float(np.sum(np.abs(values) ** p) * vol) ** (1.0 / p)
-    l2 = float(np.linalg.norm(arr))
-    return l2, mid, l2
+    lp = float(np.sum(np.abs(values) ** p) * vol) ** (1.0 / p)
+    return float(np.linalg.norm(arr)), lp
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +303,7 @@ def lp_report(
     sign_vals = [[] for _ in ps]
     for _ in range(trials):
         f = random_resolved(grid, k, degs, rng)
-        dec = analyze(f, ("box", k), degs)
+        dec = analyze(f, k, degs)
         ratios = _norm_ratios(dec, ps)
         for i, (_, square, pstar) in enumerate(ratios):
             square_vals[i].append(square)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import _two_scale_matrix, detail_cells
 from .grid import Grid, GridFunction, _as_tuple
-from .indexing import enum_box, enum_cross
+from .indexing import enum_box
 from .quadrature import interval_basis_table
 
 __all__ = [
@@ -251,44 +251,16 @@ class DetailCoeffs:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A set of detail blocks of one function, keyed by multi-level."""
+    """Detail blocks of one function, keyed by multi-level.
+
+    analyze fills every block kappa <= k of a box in enum_box order; a
+    caller may build one from any subset of blocks (a truncation, a single
+    block) and synthesize it.
+    """
 
     grid: Grid
     degrees: tuple[int, ...]
-    index_set: tuple
     blocks: dict[tuple[int, ...], DetailCoeffs] = field(default_factory=dict)
-
-    def block_norms(self) -> dict[tuple[int, ...], float]:
-        return {k: b.l2_norm() for k, b in self.blocks.items()}
-
-
-def resolve_index_set(index_set, d: int) -> tuple[tuple, list[tuple[int, ...]]]:
-    """Normalize an index-set argument to (descriptor, list of multi-levels).
-
-    Accepts a box corner (tuple of ints), ("box", corner), ("cross", beta, r),
-    or an explicit iterable of multi-levels.
-    """
-    if isinstance(index_set, tuple) and len(index_set) >= 2 and index_set[0] == "box":
-        corner = _as_tuple(index_set[1], d, "box corner")
-        return ("box", corner), enum_box(corner)
-    if isinstance(index_set, tuple) and len(index_set) == 3 and index_set[0] == "cross":
-        beta = tuple(float(b) for b in index_set[1])
-        if len(beta) != d:
-            raise ValueError(f"cross weights must have length {d}, got {beta}")
-        r = float(index_set[2])
-        return ("cross", beta, r), enum_cross(beta, r)
-    if isinstance(index_set, (tuple, list)) and index_set and all(
-        isinstance(v, (int, np.integer)) for v in index_set
-    ):
-        corner = _as_tuple(index_set, d, "box corner")
-        return ("box", corner), enum_box(corner)
-    kappas = [tuple(int(v) for v in k) for k in index_set]
-    if len(set(kappas)) != len(kappas):
-        raise ValueError("index set contains duplicate multi-levels")
-    for k in kappas:
-        if len(k) != d:
-            raise ValueError(f"multi-level {k} does not have length {d}")
-    return ("custom", tuple(sorted(kappas))), kappas
 
 
 def _full_coeffs(f: GridFunction, degrees: tuple[int, ...]) -> np.ndarray:
@@ -312,19 +284,20 @@ def _insert_block(full: np.ndarray, block: DetailCoeffs) -> None:
     full[slices] += _join_cells(block.coeffs, block.cells_shape, roots)
 
 
-def analyze(f: GridFunction, index_set, degrees) -> Decomposition:
-    """Orthonormal detail coefficients of f on every block of the index set."""
+def analyze(f: GridFunction, k, degrees) -> Decomposition:
+    """Orthonormal detail coefficients of f on every block kappa <= k, in enum_box order.
+
+    k is the box corner: an int for every axis or one level per axis.
+    """
     grid = f.grid
-    d = grid.d
-    degs = _as_tuple(degrees, d, "degrees")
-    descriptor, kappas = resolve_index_set(index_set, d)
-    for k in kappas:
-        _check_levels(grid, k)
+    k = _check_levels(grid, k, "k")
+    degs = _as_tuple(degrees, grid.d, "degrees")
     full = _full_coeffs(f, degs)
     blocks = {}
-    for k in kappas:
-        blocks[k] = DetailCoeffs(kappa=k, degrees=degs, coeffs=_extract_block(full, k, degs))
-    return Decomposition(grid=grid, degrees=degs, index_set=descriptor, blocks=blocks)
+    for kappa in enum_box(k):
+        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=degs,
+                                     coeffs=_extract_block(full, kappa, degs))
+    return Decomposition(grid=grid, degrees=degs, blocks=blocks)
 
 
 def synthesize(dec: Decomposition) -> GridFunction:
@@ -346,7 +319,5 @@ def parseval_gap(f: GridFunction, k, degrees) -> float:
     k = _check_levels(grid, k, "k")
     degs = _as_tuple(degrees, grid.d, "degrees")
     lhs = project_level(f, k, degs).l2_norm() ** 2
-    rhs = sum(
-        b.l2_norm() ** 2 for b in analyze(f, ("box", k), degs).blocks.values()
-    )
+    rhs = sum(b.l2_norm() ** 2 for b in analyze(f, k, degs).blocks.values())
     return abs(lhs - rhs)

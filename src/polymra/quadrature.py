@@ -1,7 +1,7 @@
 """Gauss-Legendre rules and orthonormal shifted Legendre polynomials.
 
 Everything is referred to the open unit interval (0,1) or an affine image of
-it. The degree-k polynomial returned by `legendre_eval` has unit L2(0,1)
+it. Row k of `legendre_table` is the degree-k polynomial with unit L2(0,1)
 norm, so projection coefficients are plain weighted dot products.
 """
 
@@ -12,7 +12,6 @@ from numpy.polynomial import legendre as _leg
 
 __all__ = [
     "gauss_rule",
-    "legendre_eval",
     "legendre_table",
     "interval_basis_table",
 ]
@@ -29,16 +28,6 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"quadrature rule needs n >= 1 nodes, got {n}")
     t, w = _leg.leggauss(n)
     return 0.5 * (t + 1.0), 0.5 * w
-
-
-def legendre_eval(degree: int, x):
-    """Shifted Legendre polynomial of the given degree with unit L2(0,1) norm."""
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    coeffs = np.zeros(degree + 1)
-    coeffs[-1] = 1.0
-    return np.sqrt(2.0 * degree + 1.0) * _leg.legval(2.0 * np.asarray(x) - 1.0, coeffs)
 
 
 def legendre_table(max_degree: int, x) -> np.ndarray:

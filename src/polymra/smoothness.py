@@ -46,8 +46,8 @@ class SmoothnessParams:
 
     def __post_init__(self):
         alpha = tuple(float(a) for a in np.atleast_1d(np.asarray(self.alpha, dtype=float)))
-        if not alpha or any(a <= 0 for a in alpha):
-            raise ValueError(f"alpha must be positive componentwise, got {self.alpha}")
+        if not alpha or not all(0.0 < a < math.inf for a in alpha):
+            raise ValueError(f"alpha must be positive and finite componentwise, got {self.alpha}")
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not 1 <= self.theta:
@@ -252,7 +252,7 @@ def decay_check(f: GridFunction, params: SmoothnessParams, q: float) -> dict:
     if len(params.alpha) != grid.d:
         raise ValueError(f"params dimension {len(params.alpha)} != grid d={grid.d}")
     degrees = tuple(lj - 1 for lj in params.l)
-    dec = analyze(f, ("box", (grid.level,) * grid.d), degrees)
+    dec = analyze(f, grid.level, degrees)
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     shift = max(0.0, 1.0 / params.p - inv_q)
     out = {}
@@ -282,7 +282,7 @@ def synthesize_extremal(params: SmoothnessParams, level: int, seed) -> GridFunct
     grid = grid_for(d, degree=degrees, level=level)
     rng = np.random.default_rng(seed)
     noise = GridFunction(grid, rng.standard_normal(grid.shape))
-    dec = analyze(noise, ("box", (level,) * d), degrees)
+    dec = analyze(noise, level, degrees)
     if params.p == 2.0:
         norms = ((kappa, blk.l2_norm()) for kappa, blk in dec.blocks.items())
     else:

@@ -93,7 +93,7 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
     if r < 1:
         raise ValueError(f"cross radius must be >= 1, got {r}")
     degrees = tuple(int(x) for x in degrees)
-    return _truncate(analyze(f, ("box", (grid.level,) * grid.d), degrees), beta, r, q)
+    return _truncate(analyze(f, grid.level, degrees), beta, r, q)
 
 
 def _truncate(dec: Decomposition, beta: tuple[float, ...], r, q: float) -> tuple[float, int]:
@@ -112,9 +112,7 @@ def _truncate(dec: Decomposition, beta: tuple[float, ...], r, q: float) -> tuple
     if q == 2.0:
         err = math.sqrt(sum(blk.l2_norm() ** 2 for blk in dropped.values()))
         return err, n
-    tail = synthesize(
-        Decomposition(grid=dec.grid, degrees=dec.degrees, index_set=dec.index_set, blocks=dropped)
-    )
+    tail = synthesize(Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=dropped))
     return lp_norm(tail, q), n
 
 
@@ -185,7 +183,7 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     beta = tuple(float(b) for b in beta)
     if len(beta) != d:
         raise ValueError(f"beta must have length {d}, got {beta}")
-    if q < max(2.0, p):
+    if not q >= max(2.0, p):
         raise ValueError(f"budget case needs q >= max(2, p), got q={q} with p={p}")
     cut = _inv(p) + max(0.0, 0.5 - _inv(p))
     base = tuple(a - cut for a in alpha)
@@ -363,9 +361,8 @@ def _grid_errors(config: WidthExperimentConfig, beta) -> list[tuple[float, int]]
     """
     params = config.params
     degrees = tuple(l - 1 for l in params.l)
-    box = ("box", (config.level,) * params.d)
     profiles = [
-        analyze(synthesize_extremal(params, config.level, config.seed + t), box, degrees)
+        analyze(synthesize_extremal(params, config.level, config.seed + t), config.level, degrees)
         for t in range(config.trials)
     ]
     out = []

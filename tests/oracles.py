@@ -11,12 +11,33 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from polymra.basis import detail_dim
 from polymra.grid import GridFunction
-from polymra.indexing import enum_cross, enum_shell, minimal_slots, support
+from polymra.indexing import enum_cross, enum_shell, minimal_slots
 from polymra.projectors import project_level
 from polymra.quadrature import interval_basis_table
+
+
+def legendre_eval(degree, x):
+    """Shifted Legendre polynomial of the given degree with unit L2(0,1) norm.
+
+    One degree at a time by Clenshaw summation (legval), where
+    quadrature.legendre_table builds every degree at once from the
+    Vandermonde matrix.
+    """
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    coeffs = np.zeros(degree + 1)
+    coeffs[-1] = 1.0
+    return np.sqrt(2.0 * degree + 1.0) * legendre.legval(2.0 * np.asarray(x) - 1.0, coeffs)
+
+
+def support(kappa):
+    """Axes (0-based) where the multi-level is nonzero."""
+    return frozenset(j for j, k in enumerate(kappa) if k != 0)
 
 
 def cell_averages(f):

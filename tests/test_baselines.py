@@ -83,9 +83,14 @@ class TestGoldenReport:
             reference = fh.read()
         assert (tmp_path / "fresh.csv").read_text() == reference
 
-    @pytest.mark.parametrize("seed", [7, 11])
-    def test_widths_reports_match_references(self, capsys, seed):
-        # the benchmark's widths argv, checked the way the benchmark checks it
-        code = main(spec.argv("widths", seed))
+    @pytest.mark.parametrize("workload, seed", [
+        # bare-seed ids for widths, the workload the test is named after
+        pytest.param(w, s, id=str(s) if w == "widths" else f"{w}-{s}")
+        for w in ("widths", "lp-sweep", "smoothness") for s in (7, 11)
+    ])
+    def test_widths_reports_match_references(self, capsys, workload, seed):
+        # the benchmark's argv of each workload that runs through analyze,
+        # checked the way the benchmark checks it
+        code = main(spec.argv(workload, seed))
         assert code == 0
-        assert report.check("widths", seed, capsys.readouterr().out) == []
+        assert report.check(workload, seed, capsys.readouterr().out) == []

@@ -138,9 +138,7 @@ def test_block_norm_ratio_scale_invariant(rng):
         arr = np.zeros((cells, 2))
         arr[:2] = coeffs
         block = DetailCoeffs(kappa=kappa, degrees=(1,), coeffs=arr)
-        dec = Decomposition(
-            grid=g, degrees=(1,), index_set=("custom", (kappa,)), blocks={kappa: block}
-        )
+        dec = Decomposition(grid=g, degrees=(1,), blocks={kappa: block})
         gfun = synthesize(dec)
         for p in ratios:
             scale = 2.0 ** ((kappa[0] - 1) * (0.5 - 1.0 / p))

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from polymra.cli import main
+import polymra
+from polymra.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -187,6 +191,22 @@ class TestCrossCount:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    # nan and inf are rejected before any work: exit 2 and no report
+    @pytest.mark.parametrize("argv", [
+        ["smoothness", "--d", "1", "--alpha", "1", "--K", "3", "--q", "nan"],
+        ["widths", "--d", "1", "--alpha", "1", "--K", "3", "--r", "2..5", "--q", "nan"],
+        ["smoothness", "--d", "1", "--alpha", "inf", "--K", "3"],
+    ], ids=["smoothness-q-nan", "widths-q-nan", "smoothness-alpha-inf"])
+    def test_exits_2_without_a_report(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
 class TestOutputPlumbing:
     def test_json_mirrors_csv(self, capsys):
         _, csv_text = run(capsys, "czd", "--d", "1", "--K", "4")
@@ -217,9 +237,27 @@ class TestOutputPlumbing:
     def test_infinite_exponent_survives_json(self, capsys):
         _, out = run(
             capsys, "smoothness", "--d", "1", "--alpha", "1", "--K", "3",
-            "--theta", "inf", "--format", "json",
+            "--theta", "inf", "--p", "inf", "--q", "inf", "--format", "json",
         )
-        assert json.loads(out)["config"]["theta"] == "inf"
+        config = json.loads(out)["config"]
+        assert config["theta"] == "inf"
+        assert config["p"] == "inf"
+        assert config["q"] == "inf"
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        argv = ["widths", "--d", "1", "--alpha", "1", "--K", "4", "--r", "3..6", "--seed", "7"]
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["widths", "--q", "nan"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, reused = run(capsys, *argv)
+        assert code == 0
+        assert build_parser.cache_info().misses == 1
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polymra.__file__)))
+        fresh = subprocess.run([sys.executable, "-m", "polymra.cli", *argv], env=env,
+                               capture_output=True, text=True, check=True).stdout
+        assert reused == fresh
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

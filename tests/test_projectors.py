@@ -36,7 +36,7 @@ def _l2(grid, values):
 def _detail(f, kappa, degs):
     # the library's detail projection: one analysed block evaluated on its own
     kappa = tuple(kappa)
-    return dict(detail_components(analyze(f, [kappa], degs)))[kappa]
+    return dict(detail_components(analyze(f, kappa, degs)))[kappa]
 
 
 def _random_piecewise(grid, kappa, degs, rng):
@@ -108,10 +108,8 @@ def test_detail_routes_agree(rng):
     f = g.function(rng.standard_normal(g.shape))
     for kappa in [(0, 0), (2, 0), (0, 3), (2, 1), (3, 3)]:
         a = project_detail(f, kappa, degs)
-        block = analyze(f, [kappa], degs).blocks[kappa]
-        dec = Decomposition(
-            grid=g, degrees=degs, index_set=("custom", (kappa,)), blocks={kappa: block}
-        )
+        block = analyze(f, kappa, degs).blocks[kappa]
+        dec = Decomposition(grid=g, degrees=degs, blocks={kappa: block})
         b = synthesize(dec)
         c = f
         for ax in range(2):
@@ -126,10 +124,10 @@ def test_detail_components_match_the_one_block_pyramid(rng, degs, K):
     # the full box holds blocks with kappa_j = 0 and kappa_j = K on every axis
     g = grid_for(len(degs), degree=degs, level=K)
     f = g.function(rng.standard_normal(g.shape))
-    dec = analyze(f, ("box", (K,) * g.d), degs)
+    dec = analyze(f, (K,) * g.d, degs)
     seen = []
     for kappa, comp in detail_components(dec):
-        single = Decomposition(g, dec.degrees, ("custom", (kappa,)), {kappa: dec.blocks[kappa]})
+        single = Decomposition(g, dec.degrees, {kappa: dec.blocks[kappa]})
         ref = synthesize(single).values
         assert np.abs(comp.values - ref).max() <= 1e-13 * np.abs(ref).max()
         seen.append(kappa)
@@ -144,7 +142,7 @@ def test_detail_components_never_synthesize(rng, monkeypatch):
                             lambda dec, original=original: calls.append(1) or original(dec))
     g = grid_for(2, degree=1, level=3)
     f = g.function(rng.standard_normal(g.shape))
-    parts = dict(detail_components(analyze(f, ("box", (3, 3)), (1, 1))))
+    parts = dict(detail_components(analyze(f, (3, 3), (1, 1))))
     assert len(parts) == 16 and calls == []
 
 
@@ -198,7 +196,7 @@ def test_parseval_examples(rng):
     assert lp_norm(f, 2) ** 2 == pytest.approx(0.5, abs=1e-13)
     assert parseval_gap(f, (1,), (0,)) < 1e-12
     # block energies: 1/4 at kappa=0, 1/4 at kappa=1
-    norms = analyze(f, ("box", (1,)), (0,)).block_norms()
+    norms = {kappa: b.l2_norm() for kappa, b in analyze(f, (1,), (0,)).blocks.items()}
     assert norms[(0,)] == pytest.approx(0.5, abs=1e-12)
     assert norms[(1,)] == pytest.approx(0.5, abs=1e-12)
     assert parseval_gap(g.zeros(), (3,), (0,)) == 0.0
@@ -209,7 +207,7 @@ def test_parseval_examples(rng):
 def test_analyze_constant():
     g = grid_for(2, degree=(1, 1), level=2)
     f = g.sample(lambda x, y: np.ones_like(x * y))
-    dec = analyze(f, ("box", (2, 2)), (1, 1))
+    dec = analyze(f, (2, 2), (1, 1))
     for kappa, block in dec.blocks.items():
         if kappa == (0, 0):
             assert block.l2_norm() == pytest.approx(1.0, abs=1e-12)
@@ -225,12 +223,8 @@ def test_analyze_single_basis_function(rng):
     from polymra import DetailCoeffs
 
     block = DetailCoeffs(kappa=kappa, degrees=(1,), coeffs=coeffs)
-    f = synthesize(
-        Decomposition(
-            grid=g, degrees=(1,), index_set=("custom", (kappa,)), blocks={kappa: block}
-        )
-    )
-    dec = analyze(f, ("box", (3,)), (1,))
+    f = synthesize(Decomposition(grid=g, degrees=(1,), blocks={kappa: block}))
+    dec = analyze(f, (3,), (1,))
     for kap, blk in dec.blocks.items():
         if kap == kappa:
             np.testing.assert_allclose(blk.coeffs, coeffs, atol=1e-12)
@@ -238,10 +232,27 @@ def test_analyze_single_basis_function(rng):
             assert blk.l2_norm() < 1e-12
 
 
+@pytest.mark.parametrize("k", [("cross", (1.0, 1.0), 2), [(1, 2)], (1.0, 2)],
+                         ids=["tagged-form", "list-of-levels", "float-level"])
+def test_analyze_takes_only_a_box_corner(k):
+    # a corner is an int or one int per axis; nothing else is read as one
+    g = grid_for(2, degree=0, level=2)
+    f = g.sample(lambda x, y: x * y)
+    with pytest.raises(ValueError):
+        analyze(f, k, (0, 0))
+
+
+def test_levels_and_degrees_must_be_integers():
+    with pytest.raises(ValueError):
+        grid_for(2, degree=1.5)
+    with pytest.raises(ValueError):
+        project_level(grid_for(1, degree=0, level=2).zeros(), 1.0, 0)
+
+
 def test_analyze_haar_coefficient_signs():
     g = grid_for(1, degree=0, level=3)
     f = g.sample(lambda x: (x < 0.5).astype(float))
-    dec = analyze(f, ("box", (1,)), (0,))
+    dec = analyze(f, (1,), (0,))
     assert dec.blocks[(0,)].coeffs.ravel()[0] == pytest.approx(0.5, abs=1e-13)
     assert dec.blocks[(1,)].coeffs.ravel()[0] == pytest.approx(-0.5, abs=1e-13)
 
@@ -250,7 +261,7 @@ def test_synthesize_roundtrip_box(rng):
     g = grid_for(2, degree=(1, 0), level=3)
     degs = (1, 0)
     f = _random_piecewise(g, (3, 3), degs, rng)
-    back = synthesize(analyze(f, ("box", (3, 3)), degs))
+    back = synthesize(analyze(f, (3, 3), degs))
     assert np.max(np.abs(back.values - f.values)) < 1e-10
 
 
@@ -258,14 +269,14 @@ def test_synthesize_partial_box_is_coarser_projection(rng):
     g = grid_for(2, degree=(1, 0), level=3)
     degs = (1, 0)
     f = g.function(rng.standard_normal(g.shape))
-    part = synthesize(analyze(f, ("box", (1, 2)), degs))
+    part = synthesize(analyze(f, (1, 2), degs))
     direct = project_level(f, (1, 2), degs).to_grid()
     assert np.max(np.abs(part.values - direct.values)) < 1e-10
 
 
 def test_synthesize_empty():
     g = grid_for(1, degree=0, level=2)
-    dec = Decomposition(grid=g, degrees=(0,), index_set=("custom", ()), blocks={})
+    dec = Decomposition(grid=g, degrees=(0,), blocks={})
     assert np.all(synthesize(dec).values == 0.0)
 
 
@@ -273,7 +284,7 @@ def test_haar_oracle_1d(rng):
     g = grid_for(1, degree=0, level=6)
     for _ in range(10):
         f = g.function(rng.standard_normal(g.shape))
-        dec = analyze(f, ("box", (6,)), (0,))
+        dec = analyze(f, (6,), (0,))
         full = haar_coeff_tensor(f)
         for kappa, block in dec.blocks.items():
             want = haar_block(full, kappa).ravel()
@@ -284,7 +295,7 @@ def test_haar_oracle_2d(rng):
     g = grid_for(2, degree=0, level=4)
     for _ in range(5):
         f = g.function(rng.standard_normal(g.shape))
-        dec = analyze(f, ("box", (4, 4)), (0, 0))
+        dec = analyze(f, (4, 4), (0, 0))
         full = haar_coeff_tensor(f)
         for kappa, block in dec.blocks.items():
             want = haar_block(full, kappa).ravel()
@@ -297,7 +308,7 @@ def test_convergence_for_smooth_function():
     errs = []
     for k in range(1, 6):
         ek = project_level(f, (k,), (1,)).to_grid()
-        errs.append(lp_norm(f - ek, 2))
+        errs.append(lp_norm(g.function(f.values - ek.values), 2))
     for a, b in zip(errs, errs[1:]):
         assert b < a
     # asymptotic decay at least 2^l_min per level
@@ -324,7 +335,7 @@ def test_transform_memory_is_linear_in_the_nodes(rng):
     f = g.function(rng.standard_normal(g.shape))
     tracemalloc.start()
     try:
-        synthesize(analyze(f, ("box", (10,)), (1,)))
+        synthesize(analyze(f, (10,), (1,)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
 """Quadrature rules, the orthonormal Legendre basis, grids, and local projection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,9 @@ from hypothesis import strategies as st
 
 from polymra import DyadicCube, PiecewisePoly, grid_for, lp_norm, project_level
 from polymra.grid import Grid
-from polymra.quadrature import (
-    gauss_rule,
-    interval_basis_table,
-    legendre_eval,
-    legendre_table,
-)
+from polymra.quadrature import gauss_rule, interval_basis_table, legendre_table
 
-from oracles import local_project
+from oracles import legendre_eval, local_project
 
 
 def test_gauss_midpoint():
@@ -125,6 +122,12 @@ def test_lp_norm_values():
         assert lp_norm(sign, p) == pytest.approx(1.0, abs=1e-13)
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
+
+
+def test_lp_norm_rejects_nan():
+    f = grid_for(1, degree=0, level=2).sample(lambda x: x)
+    with pytest.raises(ValueError):
+        lp_norm(f, math.nan)
 
 
 def test_cube_slices_rejects_bad_cubes():

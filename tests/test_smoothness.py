@@ -252,10 +252,9 @@ class TestDecayCheck:
         g = grid_for(1, degree=1, level=4)
         params = SmoothnessParams((1.5,), p=2.0)
         noise = GridFunction(g, np.random.default_rng(3).standard_normal(g.shape))
-        dec = analyze(noise, ("box", (4,)), (1,))
+        dec = analyze(noise, (4,), (1,))
         kappa = (2,)
-        single = Decomposition(grid=g, degrees=(1,), index_set=("custom", (kappa,)),
-                               blocks={kappa: dec.blocks[kappa]})
+        single = Decomposition(grid=g, degrees=(1,), blocks={kappa: dec.blocks[kappa]})
         f = synthesize(single)
         f = GridFunction(g, f.values / lp_norm(f, 2.0))
         ratios = decay_check(f, params, 2.0)
@@ -268,7 +267,7 @@ class TestDecayCheck:
         g = grid_for(1, degree=1, level=4)
         params = SmoothnessParams((1.0,), p=2.0)
         f = synthesize_extremal(params, 4, seed=2)
-        comps = dict(detail_components(analyze(f, ("box", (4,)), (1,))))
+        comps = dict(detail_components(analyze(f, (4,), (1,))))
         r2 = decay_check(f, params, 2.0)
         r4 = decay_check(f, params, 4.0)
         r1 = decay_check(f, params, 1.0)
@@ -339,7 +338,7 @@ def test_component_consumers_hold_a_few_blocks_at_a_time():
     params = SmoothnessParams((1.0, 1.0))
     f = synthesize_extremal(params, 5, 0)
     grid_bytes = f.values.nbytes
-    dec = analyze(f, ("box", (5, 5)), (1, 1))
+    dec = analyze(f, (5, 5), (1, 1))
     calls = {
         "synthesize_extremal": lambda: synthesize_extremal(params, 5, 0),
         "decay_check": lambda: decay_check(f, params, 3.0),
@@ -377,7 +376,7 @@ def test_profile_is_built_in_coefficient_space(monkeypatch):
     assert counts == {"_detail_values": 0, "synthesize": 1}
     monkeypatch.undo()
     # the quadrature norm of every block hits the profile
-    dec = analyze(f, ("box", (3, 3, 3)), (0, 1, 2))
+    dec = analyze(f, (3, 3, 3), (0, 1, 2))
     for kappa, gk in detail_components(dec):
         want = 2.0 ** -sum(k * a for k, a in zip(kappa, params.alpha))
         assert lp_norm(gk, 2.0) == pytest.approx(want, rel=1e-12), kappa

@@ -91,14 +91,9 @@ class TestTruncationError:
         grid = grid_for(2, degree=(1, 1), level=3)
         rng = np.random.default_rng(3)
         noise = GridFunction(grid, rng.standard_normal(grid.shape))
-        dec = analyze(noise, ("box", (3, 3)), (1, 1))
+        dec = analyze(noise, (3, 3), (1, 1))
         kappa = (1, 1)
-        one = Decomposition(
-            grid=grid,
-            degrees=dec.degrees,
-            index_set=dec.index_set,
-            blocks={kappa: dec.blocks[kappa]},
-        )
+        one = Decomposition(grid=grid, degrees=dec.degrees, blocks={kappa: dec.blocks[kappa]})
         err, _ = truncation_error(synthesize(one), (1.0, 1.0), 2, 2.0, degrees=(1, 1))
         assert err <= 1e-10
 
@@ -235,6 +230,10 @@ class TestBudgetPlan:
             budget_plan(6, (1.0, 1.0), params2(alpha=(1.0, 2.0)), 2.0)
         with pytest.raises(ValueError, match="no budget margin"):
             budget_plan(6, (1.0, 3.0), params2(alpha=(1.0, 2.0)), 2.0)
+
+    def test_nan_exponent_is_rejected(self):
+        with pytest.raises(ValueError, match="q >= max"):
+            budget_plan(6, (1.0, 1.0), params2(), math.nan)
 
 
 class TestWidthModelExponents:
