@@ -336,6 +336,11 @@ class CZSplit:
         return GridFunction(self.g.grid, out)
 
 
+def _check_height(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def cz_split(f: GridFunction, alpha: float) -> tuple[CellSet, WhitneyDecomposition, CZSplit]:
     """Calderon-Zygmund splitting of f at height alpha.
 
@@ -346,8 +351,7 @@ def cz_split(f: GridFunction, alpha: float) -> tuple[CellSet, WhitneyDecompositi
     blocks.  Cells of the complement missed by the truncated cube family
     keep their f values in g, so the splitting identity holds everywhere.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_height(alpha)
     grid = f.grid
     F = sublevel_cellset(maximal_function(f), alpha)
     dec = whitney(F)
@@ -371,6 +375,7 @@ def cz_constants(f: GridFunction, alpha: float) -> dict:
     weak (1,1) level-set measure, complement measure, sup and squared L_2
     size of the good part, and the largest cube average of |f|.
     """
+    _check_height(alpha)
     Mf = maximal_function(f)
     F, dec, split = cz_split(f, alpha)
     l1 = f.lp_norm(1.0)

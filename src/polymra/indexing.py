@@ -192,8 +192,8 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     """
     beta = tuple(float(b) for b in beta)
     alpha = tuple(float(a) for a in alpha)
-    if any(b <= 0 for b in beta) or any(a <= 0 for a in alpha):
-        raise ValueError("alpha and beta must be strictly positive")
+    if not all(0 < v < math.inf for v in beta + alpha):
+        raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     ratio_vec = tuple(a / b for a, b in zip(alpha, beta))
     big = max(ratio_vec)
     # negation is exact, so the maxima of x are the minima of -x in the same band

@@ -339,6 +339,19 @@ class TestCZSplit:
         with pytest.raises(ValueError):
             cz_split(g.zeros(), -1.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_rejected_before_the_maximal_function(self, monkeypatch, alpha):
+        # cz_constants(f, inf) used to return weak11 = nan
+        def refused(f):
+            raise AssertionError("maximal_function ran")
+
+        monkeypatch.setattr(czd, "maximal_function", refused)
+        f = grid_for(1, degree=0).sample(lambda x: x)
+        with pytest.raises(ValueError, match="finite"):
+            cz_split(f, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            cz_constants(f, alpha)
+
     def test_constants_report(self):
         g = grid_for(1, degree=0)
         f = g.sample(lambda x: np.where(np.abs(x - 0.4) < 0.05, 8.0, 0.1))

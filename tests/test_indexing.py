@@ -189,6 +189,22 @@ def test_counting_invalid():
         counting_ratios((1.0,), (1.0,), 0)
 
 
+@pytest.mark.parametrize("beta, alpha", [
+    ((1.0, math.inf), (1.0, 1.0)),
+    ((1.0, math.nan), (1.0, 1.0)),
+    ((1.0, 1.0), (math.inf, 1.0)),
+    ((1.0, 1.0), (1.0, math.nan)),
+])
+def test_counting_rejects_non_finite_weights(monkeypatch, beta, alpha):
+    # an infinite beta used to mark no row inside and report growth_sum 0.0
+    def refused(bound):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(polymra.indexing, "_lattice", refused)
+    with pytest.raises(ValueError, match="finite"):
+        counting_ratios(beta, alpha, 2)
+
+
 def test_enum_cross_excludes_an_excess_above_the_rounding_bound():
     # 4 * beta exceeds 1 by 1.0e-13, far more than the float sum can be off by
     beta = float(Fraction(26543292084846271, 106173168339374464))

@@ -85,6 +85,18 @@ class TestMixedDifference:
         with pytest.raises(ValueError):
             modulus_table(f, -1, 2.0)
 
+    @pytest.mark.parametrize("orders", [1.5, "2", (1.0,), np.float64(1.0), None])
+    def test_orders_must_be_integers(self, orders):
+        # a float or a string order used to be truncated by int()
+        f = grid_for(1, degree=0).zeros()
+        with pytest.raises(ValueError, match="difference orders"):
+            modulus_table(f, orders, 2.0)
+
+    def test_integer_like_orders_accepted(self):
+        f = grid_for(2, degree=0, level=2).zeros()
+        for orders in (np.int64(1), (1, np.int32(2)), np.array([1, 2])):
+            assert modulus_table(f, orders, 2.0).values.shape == (3, 3)
+
 
 class TestMixedModulus:
     """The mixed modulus at the dyadic scales t = 2^-m, read off modulus_table."""
@@ -161,7 +173,7 @@ class TestModulusTable:
         f = GridFunction(g, rng.standard_normal(g.shape))
         cells = g.cells_per_axis
         idx = [2 ** (g.level - m) - 1 for m in range(g.level + 1)]
-        for orders in ((2, 5, 1), (0, 5, 1)):
+        for orders in ((2, 5, 1), (0, 5, 1), (1, 5, 3)):
             norms = np.zeros((cells, cells))
             for s0 in range(1, cells + 1):
                 for s2 in range(1, cells + 1):
@@ -170,6 +182,10 @@ class TestModulusTable:
             got = np.zeros((cells, cells))
             _fill_norms(f.values, g, orders, p, (0, 2), got)
             np.testing.assert_allclose(got, norms, rtol=1e-12, atol=0.0)
+            # out is indexed in the order of the axes passed, whichever is nested first
+            got = np.zeros((cells, cells))
+            _fill_norms(f.values, g, orders, p, (2, 0), got)
+            np.testing.assert_allclose(got.T, norms, rtol=1e-12, atol=0.0)
             for axis in (0, 1):
                 norms = np.maximum.accumulate(norms, axis=axis)
             table = modulus_table(f, orders, p, axes=(0, 2))
@@ -189,24 +205,62 @@ class TestModulusTable:
             tracemalloc.stop()
         assert peak < 4 * f.values.nbytes, peak / f.values.nbytes
 
-    @pytest.mark.parametrize("orders", [(0, 2), (2, 1)])
+    def test_order_one_innermost_stays_below_three_grid_functions(self):
+        # the innermost order-1 difference needs no product buffer (2.32 measured)
+        g = grid_for(2, degree=(0, 1), level=6)
+        f = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
+        tracemalloc.start()
+        try:
+            modulus_table(f, (1, 2), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * f.values.nbytes, peak / f.values.nbytes
+
+    @pytest.mark.parametrize("level, orders, want", [
+        # the bench grid, 64 cells: 31 order-2 slabs, each with 63 order-1 steps
+        (6, (1, 2), {(1, 2): 31, (0, 1): 31 * 63}),
+        # equal orders: axis 0 innermost
+        (4, (1, 1), {(1, 1): 15, (0, 1): 15 * 15}),
+        # the identity axis outermost, copied once
+        (4, (1, 0), {(1, 0): 1, (0, 1): 15}),
+    ])
+    def test_cheapest_difference_runs_innermost(self, monkeypatch, level, orders, want):
+        g = grid_for(2, degree=(0, 1), level=level)
+        f = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
+        calls = []
+        diff = polymra.smoothness._axis_difference
+
+        def counted(values, grid, axis, order, shift):
+            calls.append((axis, order))
+            return diff(values, grid, axis, order, shift)
+
+        monkeypatch.setattr(polymra.smoothness, "_axis_difference", counted)
+        modulus_table(f, orders, 2.0)
+        assert {key: calls.count(key) for key in set(calls)} == want
+
+    @pytest.mark.parametrize("orders", [(0, 2), (2, 1), (1, 2), (3, 1), (1, 1)])
     def test_matches_brute_force_differences(self, orders):
-        # every step up to the cell count, so the spans l * s reach and pass it
+        # every step up to the cell count, so the spans l * s reach and pass it;
+        # noise peaks at the smallest step, so only the smooth input gives a
+        # table that varies with both scales (and would show a transposed one)
         rng = np.random.default_rng(11)
         g = grid_for(2, degree=(1, 0), level=3)
-        f = GridFunction(g, rng.standard_normal(g.shape))
+        noise = GridFunction(g, rng.standard_normal(g.shape))
+        smooth = g.sample(lambda x, y: np.sin(5 * x) * np.exp(3 * y) + x ** 3 * y)
         cells = g.cells_per_axis
-        norms = np.zeros((cells, cells))
-        for s0 in range(1, cells + 1):
-            for s1 in range(1, cells + 1):
-                diff = mixed_difference_brute(f, (s0, s1), orders)
-                norms[s0 - 1, s1 - 1] = lp_norm(GridFunction(g, diff), 3.0)
-        for axis in (0, 1):
-            norms = np.maximum.accumulate(norms, axis=axis)
         idx = [2 ** (g.level - m) - 1 for m in range(g.level + 1)]
-        want = norms[np.ix_(idx, idx)]
-        np.testing.assert_allclose(
-            modulus_table(f, orders, 3.0).values, want, rtol=1e-12, atol=0.0)
+        for f in (noise, smooth):
+            norms = np.zeros((cells, cells))
+            for s0 in range(1, cells + 1):
+                for s1 in range(1, cells + 1):
+                    diff = mixed_difference_brute(f, (s0, s1), orders)
+                    norms[s0 - 1, s1 - 1] = lp_norm(GridFunction(g, diff), 3.0)
+            for axis in (0, 1):
+                norms = np.maximum.accumulate(norms, axis=axis)
+            want = norms[np.ix_(idx, idx)]
+            np.testing.assert_allclose(
+                modulus_table(f, orders, 3.0).values, want, rtol=1e-12, atol=0.0)
 
 
 class TestBesovSeminorm:
