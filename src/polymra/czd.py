@@ -116,16 +116,33 @@ def maximal_function(f: GridFunction) -> GridFunction:
     centres sharing the Gauss index tuple a share one table of the
     (2C-1)^d n^d offsets, sorted once.  Centres go in tiles of B^d cells;
     a tile gathers w |f| and w along the table entries that reach the grid
-    from some centre of the tile, out of copies zero-padded by C-1 cells
-    per side, and takes the sup over their running sums.  A padded node
-    adds nothing to either sum and only widens the ball, so it never
-    raises the sup.
+    from some centre of the tile, out of one complex copy (w |f| real, w
+    imaginary) zero-padded by C-1 cells per side, and takes the sup over
+    their running sums.  A padded node adds nothing to either sum and
+    only widens the ball, so it never raises the sup.
+
+    Two bounds, taken once per call, prune the running sums without
+    moving a bit of the result: W bounds every running covered weight and
+    S every running sum of w |f|.  Past the first table entry whose ball
+    exceeds W (the tail) the denominator is the ball itself, so the
+    covered weight is not summed there, and a ratio there is at most
+    S / ball, which falls along the table; the tail ends where S / ball is
+    at most the smallest sup a centre of the tile reached before the tail.
+    The running mass of the tail starts from the last one before it, so
+    every kept prefix sum is the same chain of additions as without the
+    split.
 
     Cost: n^d sorts of (2C-1)^d n^d entries, plus gathers and running sums
-    over about N (C+B-1)^d n^d entries for the N nodes.  Memory in floats:
-    two padded copies of (3C-2)^d n^d each, about 2d+5 arrays of the table
-    length (2C-1)^d n^d, and per tile three arrays of at most
-    _TILE_FLOATS = 2^17 entries, the bound that picks B.
+    over about N (C+B-1)^d n^d entries for the N nodes in the worst case,
+    where nothing is pruned.  How much of the tail is pruned depends on
+    the data: a tile loses it all once each centre's sup before the tail
+    reaches S / ball there, and keeps it all while some centre has seen
+    no mass.
+    Memory in floats: the padded copy, two floats for each of the
+    (3C-2)^d n^d padded nodes; about eight arrays of the table length
+    (2C-1)^d n^d; and per tile at most three times _TILE_FLOATS = 2^17
+    entries in gathers and running sums over (centres, kept offsets), the
+    bound that picks B.
     """
     grid = f.grid
     d = grid.d
@@ -135,46 +152,79 @@ def maximal_function(f: GridFunction) -> GridFunction:
     nodes = grid.nodes_per_cell
     r_min = math.sqrt(d) * 2.0 ** -grid.level
     w = _node_weights(grid).reshape(grid.shape)
-    pad = [((cells - 1) * n,) * 2 for n in nodes]
-    w_pad = np.pad(w, pad)
-    strides = [s // w_pad.itemsize for s in w_pad.strides]
-    w_pad = w_pad.ravel()
-    wf_pad = np.pad(w * np.abs(f.values), pad).ravel()
+    wf = w * np.abs(f.values)
+    # W and S: with u = 2^-53, a float running sum of nonnegative terms is
+    # at most (1 + u)^L times their exact sum, L the number of terms, and a
+    # table row has L < 2^d N <= 4 N.  A float total of the N terms, in any
+    # order, is at least (1 - u)^N times the exact total.  So every running
+    # sum is at most total (1 + u)^(4N) / (1 - u)^N <= total exp(6 N u)
+    # <= total (1 + 6 N 2^-52); the factor below also absorbs its own
+    # rounding and that of the product.
+    slack = 1.0 + 16 * w.size * 2.0 ** -52
+    cover_bound = w.sum() * slack
+    mass_bound = wf.sum() * slack
+    # w |f| and w as the real and imaginary parts of one array: the head
+    # gathers both in one pass and runs both sums in one complex cumsum,
+    # which adds the parts separately, each rounded as a real sum would be
+    both = np.empty(grid.shape, dtype=complex)
+    both.real, both.imag = wf, w
+    both = np.pad(both, [((cells - 1) * n,) * 2 for n in nodes])
+    strides = [s // both.itemsize for s in both.strides]
+    both = both.ravel()
 
     # per axis, offset o = (dc + C - 1) n + b holds the cell shift dc and the
     # Gauss index b; from a centre in cell c0 it reaches padded node c0 n + o
     shifts = [np.repeat(np.arange(1 - cells, cells), n) for n in nodes]
     gauss = [x[:n] * cells for x, n in zip(grid.axis_nodes, nodes)]
     entry_pad = _outer_sum([np.arange(len(s)) * st for s, st in zip(shifts, strides)])
-    entry_shift = [m.ravel() for m in np.meshgrid(*shifts, indexing="ij")]
+    # flat index of the entry's cell shift (dc_1 + C - 1, ...) in (2C-1)^d
+    span = 2 * cells - 1
+    entry_cell = _outer_sum([np.repeat(np.arange(span) * span ** (d - 1 - j), n)
+                             for j, n in enumerate(nodes)])
     # largest power-of-two tile side whose (centres, kept offsets) arrays fit
     side = cells
     while side > 1 and (side * (cells + side - 1)) ** d * math.prod(nodes) > _TILE_FLOATS:
         side //= 2
+    tiles = [(lo, _outer_sum([np.arange(lo_j, lo_j + side) * (n * st)
+                              for lo_j, n, st in zip(lo, nodes, strides)]))
+             for lo in itertools.product(range(0, cells, side), repeat=d)]
     out = np.empty(grid.shape)
     for a in np.ndindex(*nodes):
-        disp = [(s + (np.tile(g, 2 * cells - 1) - g[aj])) / cells
+        disp = [(s + (np.tile(g, span) - g[aj])) / cells
                 for s, g, aj in zip(shifts, gauss, a)]
         dist = np.sqrt(_outer_sum([x ** 2 for x in disp]))
         order = np.argsort(dist, kind="stable")
         ball = _ball_measure(d, np.maximum(dist[order], r_min))
+        # the zero offset, first in every tile, always runs in the head, so
+        # each tile has a sup to prune by even where the first ball exceeds W
+        head = max(int(np.searchsorted(ball, cover_bound, side="right")), 1)
         table_pad = entry_pad[order]
-        table_shift = [s[order] for s in entry_shift]
-        for lo in itertools.product(range(0, cells, side), repeat=d):
-            # entries that reach the grid from at least one centre of the tile
-            kept = np.flatnonzero(np.logical_and.reduce(
-                [(s > -lo_j - side) & (s < cells - lo_j) for s, lo_j in zip(table_shift, lo)]
-            ))
-            centres = _outer_sum([np.arange(lo_j, lo_j + side) * (n * st)
-                                  for lo_j, n, st in zip(lo, nodes, strides)])
-            take = centres[:, None] + table_pad[kept]
-            mass, cover = wf_pad[take], w_pad[take]
-            np.cumsum(mass, axis=1, out=mass)
-            np.cumsum(cover, axis=1, out=cover)
-            mass /= np.maximum(cover, ball[kept], out=cover)
+        table_cell = entry_cell[order]
+        for lo, centres in tiles:
+            # entries whose cell shift reaches the grid from some centre of the tile
+            reach = np.zeros((span,) * d, dtype=bool)
+            reach[tuple(slice(cells - lo_j - side, span - lo_j) for lo_j in lo)] = True
+            kept = np.flatnonzero(reach.ravel()[table_cell])
+            split = np.searchsorted(kept, head)
+            run = both[centres[:, None] + table_pad[kept[:split]]]
+            np.cumsum(run, axis=1, out=run)
+            carry = run[:, -1].real
+            ratio = np.maximum(run.imag, ball[kept[:split]])
+            np.divide(run.real, ratio, out=ratio)
+            sup = ratio.max(axis=1)
+            # S / ball falls along the table, so the entries that can still
+            # raise some sup are a prefix of the tail; a NaN keeps them all
+            tail = kept[split:]
+            tail = tail[:np.count_nonzero(~(mass_bound / ball[tail] <= sup.min()))]
+            if len(tail):
+                mass = both.real[centres[:, None] + table_pad[tail]]
+                mass[:, 0] += carry
+                np.cumsum(mass, axis=1, out=mass)
+                mass /= ball[tail]
+                np.maximum(sup, mass.max(axis=1), out=sup)
             at = tuple(slice(lo_j * n + aj, (lo_j + side) * n, n)
                        for lo_j, n, aj in zip(lo, nodes, a))
-            out[at] = mass.max(axis=1).reshape((side,) * d)
+            out[at] = sup.reshape((side,) * d)
     return GridFunction(grid, out)
 
 

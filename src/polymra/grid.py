@@ -44,7 +44,9 @@ def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
 class Grid:
     """Tensor Gauss grid over the level-K dyadic partition of the unit cube."""
 
-    __slots__ = ("d", "level", "nodes_per_cell", "axis_nodes", "axis_weights")
+    # basis_tables: per-axis tables built from the nodes, memoized by their
+    # builders (projectors._scaling_block keys them (axis, level, degree))
+    __slots__ = ("d", "level", "nodes_per_cell", "axis_nodes", "axis_weights", "basis_tables")
 
     def __init__(self, d: int, level: int, nodes_per_cell):
         d = int(d)
@@ -66,6 +68,7 @@ class Grid:
             weights.append(np.tile(w / cells, cells))
         self.axis_nodes = tuple(nodes)
         self.axis_weights = tuple(weights)
+        self.basis_tables = {}
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -43,9 +43,19 @@ __all__ = [
 
 
 def _scaling_block(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
-    """Orthonormal scaling basis of the first level-m cell at its nodes, (n_loc, degree+1)."""
-    xs = grid.axis_nodes[axis][: grid.axis_cell_nodes(axis, m)]
-    return interval_basis_table(degree, xs, 0.0, 0.5 ** m).T
+    """Orthonormal scaling basis of the first level-m cell at its nodes, (n_loc, degree+1).
+
+    Built once per grid and kept in grid.basis_tables; the table is
+    read-only, since every later call returns the same array.
+    """
+    key = (axis, m, degree)
+    table = grid.basis_tables.get(key)
+    if table is None:
+        xs = grid.axis_nodes[axis][: grid.axis_cell_nodes(axis, m)]
+        table = interval_basis_table(degree, xs, 0.0, 0.5 ** m).T
+        table.flags.writeable = False
+        grid.basis_tables[key] = table
+    return table
 
 
 def _block_range(degree: int, m: int) -> slice:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,9 +129,13 @@ def _fill_norms(values: np.ndarray, grid: Grid, l: tuple[int, ...], p: float,
 def _resolve_axes(axes, d: int) -> tuple[int, ...]:
     if axes is None:
         return tuple(range(d))
-    out = tuple(sorted(int(a) for a in axes))
+    message = f"axes must be a nonempty subset of 0..{d - 1}, got {axes!r}"
+    try:
+        out = tuple(sorted(operator.index(a) for a in axes))
+    except TypeError:
+        raise ValueError(message) from None
     if not out or len(set(out)) != len(out) or out[0] < 0 or out[-1] >= d:
-        raise ValueError(f"axes must be a nonempty subset of 0..{d - 1}, got {axes}")
+        raise ValueError(message)
     return out
 
 

@@ -23,13 +23,28 @@ from polymra.indexing import DyadicCube
 
 from oracles import ball_average_brute, maximal_function_brute, whitney_brute
 
-# inputs of the maximal-function oracle check: the CLI demos, signed noise, zero
+
+def _spike(grid, floor=0.0):
+    """1 at one node, floor everywhere else."""
+    values = np.full(grid.shape, floor)
+    values.flat[values.size // 3] = 1.0
+    return grid.function(values)
+
+
+# inputs of the maximal-function oracle check: the CLI demos, signed noise,
+# zero, and inputs on the edges of the pruned scan: a lone spike (a tile
+# keeps no tail entry once every centre's head reaches it, else the whole
+# tail), a constant (the covered-weight floor binds at the cube edges; the
+# tail is cut partway) and a spike on a plateau 2^-400 below it
 _MF_INPUTS = {
     "bump": lambda g: g.sample(lambda *x: 6.0 * np.exp(-60.0 * sum((xi - 0.5) ** 2 for xi in x))),
     "step": lambda g: g.sample(lambda *x: 3.0 * (x[0] < 1.0 / 3.0)),
     "wedge": lambda g: g.sample(lambda *x: 4.0 * math.prod(x)),
     "random": lambda g: g.function(np.random.default_rng(11).standard_normal(g.shape)),
     "zeros": lambda g: g.zeros(),
+    "spike": _spike,
+    "constant": lambda g: g.sample(lambda *x: 2.5),
+    "plateau": lambda g: _spike(g, 2.0 ** -400),
 }
 # tile counts (2^17 budget): one up to d=1 K=7; several at d=1 K=8, d=2 K=3
 # degree 1 and d=2 K=4

@@ -146,6 +146,25 @@ def test_detail_components_never_synthesize(rng, monkeypatch):
     assert len(parts) == 16 and calls == []
 
 
+def test_scaling_tables_are_built_once_per_grid(rng, monkeypatch):
+    built = []
+    original = polymra.projectors.interval_basis_table
+    monkeypatch.setattr(polymra.projectors, "interval_basis_table",
+                        lambda *args: built.append(args) or original(*args))
+    g = grid_for(2, degree=1, level=3)
+    f = g.function(rng.standard_normal(g.shape))
+    dec = analyze(f, (3, 3), (1, 1))
+    synthesize(dec)
+    dict(detail_components(dec))
+    first = len(built)
+    again = analyze(f, (3, 3), (1, 1))
+    assert np.array_equal(synthesize(again).values, synthesize(dec).values)
+    dict(detail_components(again))
+    assert first > 0 and len(built) == first
+    with pytest.raises(ValueError):
+        polymra.projectors._scaling_block(g, 0, 3, 1)[0, 0] = 0.0
+
+
 def test_mutual_annihilation(rng):
     g = grid_for(2, degree=0, level=2)
     f = g.function(rng.standard_normal(g.shape))

@@ -132,12 +132,12 @@ class TestMixedModulus:
         assert np.max(modulus_table(aff, (2, 1), 2.0, axes=(0,)).values) <= 1e-12
 
     def test_axes_validation(self):
-        g = grid_for(1, degree=0)
-        f = g.sample(lambda x: x)
-        with pytest.raises(ValueError):
-            modulus_table(f, 1, 2.0, axes=(3,))
-        with pytest.raises(ValueError):
-            modulus_table(f, 1, 2.0, axes=())
+        g = grid_for(2, degree=0, level=2)
+        f = g.sample(lambda x, y: x * y)
+        for axes in ((3,), (), (0.7,), ("1",), (1.0,), 1):
+            with pytest.raises(ValueError):
+                modulus_table(f, 1, 2.0, axes=axes)
+        assert modulus_table(f, 1, 2.0, axes=(np.int64(1),)).axes == (1,)
 
 
 class TestModulusTable:
