@@ -13,8 +13,9 @@ to the same float cannot be told apart by any rule. One array rule decides
 membership for every row of an integer array of multi-levels from the float
 weights w = lattice @ beta (cross_contains is its one-row case): w decides
 outside the band |w - r| <= (d + 1) 2^-52 w, and the rows inside it are
-decided together by one exact integer comparison, with 2 lo_j and 2 r
-scaled to Python ints by the lcm of their denominators. The band holds in
+decided together by one exact integer comparison, with 2 lo_j scaled to
+Python ints by the lcm of their denominators (built once per beta) and r's
+denominator cleared on both sides. The band holds in
 any summation order: a length-d dot product of nonnegative terms lies within
 d 2^-53 w of its exact value (to first order) under any grouping, and
 (kappa, lo) within 2^-53 w of (kappa, beta): half the band. enum_cross,
@@ -27,6 +28,7 @@ open, so this tie handling cannot change any asymptotics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,21 +103,34 @@ def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(int(x) + 1) for x in k)))
 
 
+@functools.lru_cache(maxsize=64)
+def _band_weights(beta: tuple[float, ...]) -> tuple[np.ndarray, int]:
+    """(2 lo_j * scale as Python ints, scale), scale the lcm of the denominators of 2 lo_j.
+
+    2 lo_j is beta_j plus its lower float neighbour, a dyadic rational.  The
+    weights depend on beta alone, so they are built once per beta and shared
+    by every radius; the array is read-only.
+    """
+    twice_lo = [Fraction(b) + Fraction(math.nextafter(b, 0.0)) for b in beta]
+    scale = math.lcm(*(t.denominator for t in twice_lo))
+    weights = np.array([int(t * scale) for t in twice_lo], dtype=object)
+    weights.flags.writeable = False
+    return weights, scale
+
+
 def _inside(lattice: np.ndarray, w: np.ndarray, beta: Sequence[float], r: float) -> np.ndarray:
     """Cross membership of each row of an (N, d) integer array; w = lattice @ beta.
 
-    Rows in the rounding band are decided at once in exact integers: 2 lo_j
-    is beta_j plus its lower float neighbour, and 2 lo_j and 2 r, scaled by
-    the lcm of their (power-of-two) denominators, are Python ints.
+    Rows in the rounding band are decided at once in exact integers:
+    (kappa, 2 lo) <= 2 r with both sides multiplied by the denominator of
+    r and by the scale of _band_weights.
     """
     inside = w < r
     band = np.flatnonzero(np.abs(w - r) <= (len(beta) + 1) * _EPS * w)
     if len(band):
-        twice_lo = [Fraction(b) + Fraction(math.nextafter(b, 0.0)) for b in beta]
-        two_r = 2 * Fraction(r)
-        scale = math.lcm(two_r.denominator, *(t.denominator for t in twice_lo))
-        weights = np.array([int(t * scale) for t in twice_lo], dtype=object)
-        inside[band] = lattice[band].astype(object) @ weights <= int(two_r * scale)
+        weights, scale = _band_weights(tuple(float(b) for b in beta))
+        num, den = Fraction(r).as_integer_ratio()
+        inside[band] = (lattice[band].astype(object) @ weights) * den <= 2 * num * scale
     return inside
 
 

@@ -227,6 +227,48 @@ def test_rounded_weight_keeps_its_tie():
     assert rows[1]["growth_sum"] == 2.0 ** 6 - 1.0
 
 
+_SUB_ULP = float(Fraction(4976867265912683, 19907469063650728))
+_WEIGHT_CACHE_CASES = [
+    # one ulp apart: 5 * 0.4 <= 2 is a tie, one ulp up is out, one ulp down is in
+    ((0.4,), 2),
+    ((math.nextafter(0.4, 1.0),), 2),
+    ((math.nextafter(0.4, 0.0),), 2),
+    # one beta at integer and dyadic radii
+    ((1.0, 0.4, 1.4142135623730951), 2),
+    ((1.0, 0.4, 1.4142135623730951), 2.5),
+    ((1.0, 0.4, 1.4142135623730951), 2.25),
+    # a sub-ulp excess above 1/4, and its lower neighbour
+    ((_SUB_ULP,), 1),
+    ((math.nextafter(_SUB_ULP, 0.0),), 1),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_band_weight_cache_keeps_inputs_apart(order):
+    # the exact weights are cached per beta: no input may see another's
+    polymra.indexing._band_weights.cache_clear()
+    for beta, r in _WEIGHT_CACHE_CASES[::order]:
+        want = cross_enum_fractions([rounding_floor(b) for b in beta], r)
+        box = enum_box([b + 1 for b in polymra.indexing._cross_box(beta, r)])
+
+        def by_enum():
+            return enum_cross(beta, r)
+
+        def by_rows():
+            return [kappa for kappa in box if cross_contains(kappa, beta, r)]
+
+        def by_growth():
+            if r != int(r):
+                return None
+            return counting_ratios(beta, [1.0] * len(beta), r)[-1]["growth_sum"]
+
+        got = {call.__name__: call() for call in [by_enum, by_rows, by_growth][::order]}
+        assert got["by_enum"] == want
+        assert got["by_rows"] == want
+        if got["by_growth"] is not None:
+            assert got["by_growth"] == sum(2.0 ** sum(kappa) for kappa in want)
+
+
 def test_cross_contains_rejects_negative_levels():
     with pytest.raises(ValueError):
         cross_contains((-1, 2), (1.0, 1.0), 1)

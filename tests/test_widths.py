@@ -1,6 +1,7 @@
 """Tests for hyperbolic-cross truncation, budgets and rate fits."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ import polymra.smoothness
 import polymra.widths
 from polymra.basis import detail_dim
 from polymra.grid import GridFunction, grid_for
-from polymra.indexing import minimal_slots
+from polymra.indexing import enum_cross, minimal_slots
 from polymra.projectors import Decomposition, analyze, synthesize
 from polymra.smoothness import SmoothnessParams, besov_seminorm, synthesize_extremal
 from polymra.widths import (
@@ -185,13 +186,13 @@ class TestBudgetPlan:
 
     def test_allocation_clamped_to_block_dimension(self):
         plan = budget_plan(6, (1.0, 1.0), params2(), 2.0)
-        assert plan.allocation
-        for kappa, n in plan.allocation.items():
+        assert len(plan.rows) == len(plan.budgets) > 0
+        for kappa, n in zip(plan.rows.tolist(), plan.budgets):
             assert 1 <= n <= detail_dim(kappa, (1, 1))
 
     def test_every_shell_gets_budget(self):
         plan = budget_plan(4, (1.0, 1.0), params2(), 2.0)
-        weights = {sum(kappa) for kappa in plan.allocation}
+        weights = set(plan.rows.sum(axis=1).tolist())
         assert weights == set(range(5, 4 + plan.j0 + 1))
 
     def test_total_growth_band(self):
@@ -215,9 +216,39 @@ class TestBudgetPlan:
         beta = choose_beta(params, 2.0)
         plan = budget_plan(r, beta, params, 2.0)
         allocation, cross_dim = budget_allocation_brute(plan, beta, params)
-        assert plan.allocation == allocation
+        rows = [tuple(kappa) for kappa in plan.rows.tolist()]
+        assert list(zip(rows, plan.budgets)) == sorted(allocation.items())
         assert plan.cross_dim == cross_dim
-        assert all(type(n) is int for n in plan.allocation.values())
+        assert plan.total == cross_dim + sum(allocation.values())
+        assert all(type(n) is int for n in plan.budgets)
+        assert type(plan.total) is int
+
+    def test_bench_configuration_is_pinned(self):
+        # the widths benchmark argv: --d 3 --alpha 1,1,1 --r 3..8, planned at r = 8
+        params = SmoothnessParams(alpha=(1.0, 1.0, 1.0))
+        beta = choose_beta(params, 2.0)
+        plan = budget_plan(8, beta, params, 2.0)
+        assert plan.j0 == 16
+        assert plan.rows.shape == (2760, 3)
+        assert plan.total == 1813405
+        rows = [tuple(kappa) for kappa in plan.rows.tolist()]
+        assert rows == sorted(set(rows))
+        assert set(rows).isdisjoint(enum_cross(beta, 8))
+        assert set(rows) <= set(enum_cross(beta, 8 + plan.j0))
+
+    def test_memory_stays_below_three_outer_box_lattices(self):
+        # the outer box at the bench argv is 25^3 rows; measured peak 2.3 lattices
+        params = SmoothnessParams(alpha=(1.0, 1.0, 1.0))
+        beta = choose_beta(params, 2.0)
+        budget_plan(8, beta, params, 2.0)  # warm the weight cache and imports
+        lattice_bytes = 25 ** 3 * 3 * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            budget_plan(8, beta, params, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * lattice_bytes, peak / lattice_bytes
 
     def test_hypotheses_are_enforced(self):
         with pytest.raises(ValueError, match="q >= max"):
