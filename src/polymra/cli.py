@@ -258,6 +258,8 @@ def _cmd_czd(args) -> int:
 
 
 def _cmd_smoothness(args) -> int:
+    if args.K < 1:  # level 0 has no detail block to measure
+        raise ValueError(f"K must be >= 1, got {args.K}")
     params = SmoothnessParams(alpha=args.alpha, p=args.p, theta=args.theta)
     if len(args.alpha) != args.d:
         raise ValueError(f"alpha {args.alpha} does not match d={args.d}")

@@ -297,6 +297,8 @@ def lp_report(
     degs = _as_tuple(degrees, grid.d, "degrees")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if sign_trials < 1:
+        raise ValueError(f"sign_trials must be >= 1, got {sign_trials}")
     rng = np.random.default_rng(seed)
     square_vals = [[] for _ in ps]
     pstar_vals = [[] for _ in ps]

@@ -72,30 +72,42 @@ def _order_vec(value, d: int) -> tuple[int, ...]:
 
 
 def _axis_difference(values: np.ndarray, grid: Grid, axis: int, order: int,
-                     shift: int) -> np.ndarray:
+                     shift: int, buf: np.ndarray) -> np.ndarray:
     """Finite difference along one axis with a positive whole-cell step, on its valid slab only.
 
     The slab holds the first cells - order*shift whole cells, where every
     node shifted by up to order steps stays in the cube; order*shift must
-    stay below the cell count.  The result is a new array with the input's
-    shape except along the axis; order 0 returns a copy.
+    stay below the cell count.  The result is written into the leading
+    entries of the flat buffer buf and returned as a C-contiguous view with
+    the input's shape except along the axis; order 0 copies the input.
+
+    The binomial sum runs as w_1 t_1 + w_0 t_0 + w_2 t_2 + ...: w_0 = +-1
+    and IEEE addition commutes, so this has the bits of the sum taken from
+    k = 0, and up to order 2 it needs no product buffer.
     """
     n = grid.nodes_per_cell[axis]
-    length = (grid.cells_per_axis - order * shift) * n
-    src = [slice(None)] * values.ndim
-    out = None
-    for k in range(order + 1):
+    step, length = shift * n, (grid.cells_per_axis - order * shift) * n
+    shape = values.shape[:axis] + (length,) + values.shape[axis + 1:]
+    out = buf[:math.prod(shape)].reshape(shape)
+    lead = (slice(None),) * axis
+    t = [values[lead + (slice(k * step, k * step + length),)] for k in range(order + 1)]
+    if order == 0:
+        np.copyto(out, t[0])
+        return out
+    add_first = np.add if order % 2 == 0 else np.subtract  # w_0 = (-1)^order
+    if order == 1:
+        add_first(t[1], t[0], out=out)
+    else:
+        np.multiply(t[1], (-1) ** (order - 1) * order, out=out)
+        add_first(out, t[0], out=out)
+    for k in range(2, order + 1):
         w = (-1) ** (order - k) * math.comb(order, k)
-        src[axis] = slice(k * shift * n, k * shift * n + length)
-        term = values[tuple(src)]
-        if out is None:
-            out = w * term
-        elif w == 1:  # +-1 weights add in place without a product buffer
-            out += term
+        if w == 1:
+            out += t[k]
         elif w == -1:
-            out -= term
-        else:
-            out += w * term
+            out -= t[k]
+        else:  # order >= 3 only
+            out += w * t[k]
     return out
 
 
@@ -106,22 +118,24 @@ def _fill_norms(values: np.ndarray, grid: Grid, l: tuple[int, ...], p: float,
     out has one axis per entry of axes; entry s - 1 holds the step of s
     whole cells, s = 1..cells.  Each difference along axes[0] is taken on
     its valid slab, and the differences along the remaining axes act on
-    that slab.  Steps whose span l * s reaches the cell count leave an
-    empty domain: the difference is the zero function, its entry stays 0
-    and is skipped.  An order-0 axis is the identity, so its sub-table is
-    the same for every step and is computed once.
+    that slab.  Every step of this depth writes its slab into one buffer
+    the size of the input.  Steps whose span l * s reaches the cell count
+    leave an empty domain: the difference is the zero function, its entry
+    stays 0 and is skipped.  An order-0 axis is the identity, so its
+    sub-table is the same for every step and is computed once.
     """
     axis = axes[0]
     order = l[axis]
     steps = 1 if order == 0 else (grid.cells_per_axis - 1) // order
+    buf = np.empty(values.size)
     for s in range(1, steps + 1):
-        diff = _axis_difference(values, grid, axis, order, s)
+        diff = _axis_difference(values, grid, axis, order, s, buf)
         if len(axes) == 1:
-            np.abs(diff, out=diff)
+            if p != 2.0:  # the square at p = 2 drops the sign bit for bit
+                np.abs(diff, out=diff)
             out[s - 1] = box_lp_norm(grid, diff, p)
         else:
             _fill_norms(diff, grid, l, p, axes[1:], out[s - 1])
-        del diff  # free this slab before the next step allocates its own
     if order == 0:
         out[1:] = out[0]
 
@@ -176,12 +190,18 @@ def modulus_table(f: GridFunction, l, p: float, axes=None) -> ModulusTable:
     whole axis elsewhere.  A norm thus visits about N / 2^|J| nodes on
     average and the table about N prod_j C / (2 l_j) nodes in all; the
     innermost differences, one per norm, read l + 1 windows each for the
-    lowest nonzero order l in J.  Peak memory, besides f and the C^|J|
-    table: the nested slabs, one per axis of J, plus one product buffer
-    for a binomial weight other than +-1, so at most |J| + 1 grid
-    functions.  An order-1 difference innermost needs no product buffer:
-    at l = (1, 2) on 64 x 64 cells the tracemalloc peak is 2.3 grid
-    functions, the table included (3.3 with the order-2 axis innermost).
+    lowest nonzero order l in J.
+
+    Up to order 2 no step allocates: each nesting depth owns one flat
+    buffer the size of its input, and every slab of that depth is written
+    into its leading entries.  At p = 2 the norm squares the signed slab
+    in place, with no abs pass and no power call; the other p take
+    |diff| ** p in place.  Peak memory, besides f and the C^|J| table: one
+    buffer per axis of J, so at most |J| grid functions up to order 2,
+    plus a product array per binomial weight other than +-1 and k > 1
+    (order 3 and up), plus numpy's fixed-size iterator buffers for strided
+    windows.  At l = (1, 2) on 64 x 64 cells the tracemalloc peak is 2.1
+    grid functions, the table included.
     """
     grid = f.grid
     J = _resolve_axes(axes, grid.d)
@@ -268,6 +288,8 @@ def decay_check(f: GridFunction, params: SmoothnessParams, q: float) -> dict:
     grid = f.grid
     if len(params.alpha) != grid.d:
         raise ValueError(f"params dimension {len(params.alpha)} != grid d={grid.d}")
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     degrees = tuple(lj - 1 for lj in params.l)
     dec = analyze(f, grid.level, degrees)
     inv_q = 0.0 if math.isinf(q) else 1.0 / q

@@ -440,3 +440,71 @@ def maximal_function_brute(f):
         mass = np.cumsum(wf[order])
         out[flat] = (mass / np.maximum(ball, np.cumsum(w[order]))).max()
     return out.reshape(grid.shape)
+
+
+def axis_difference_per_step(values, grid, axis, order, shift):
+    """One axis difference on its valid slab in a freshly allocated array.
+
+    The binomial terms are summed from k = 0 with a product array for every
+    weight other than +-1; the library writes the same slab into a reused
+    buffer.
+    """
+    n = grid.nodes_per_cell[axis]
+    length = (grid.cells_per_axis - order * shift) * n
+    src = [slice(None)] * values.ndim
+    out = None
+    for k in range(order + 1):
+        w = (-1) ** (order - k) * math.comb(order, k)
+        src[axis] = slice(k * shift * n, k * shift * n + length)
+        term = values[tuple(src)]
+        if out is None:
+            out = w * term
+        elif w == 1:
+            out += term
+        elif w == -1:
+            out -= term
+        else:
+            out += w * term
+    return out
+
+
+def fill_norms_per_step(values, grid, l, p, axes, out):
+    """Difference norms for every step vector, one new slab and one abs and pow pass per step.
+
+    Same table layout as smoothness._fill_norms; each norm is
+    integrate(|diff| ** p) ** (1/p), p = inf the max of |diff|.
+    """
+    axis = axes[0]
+    order = l[axis]
+    steps = 1 if order == 0 else (grid.cells_per_axis - 1) // order
+    for s in range(1, steps + 1):
+        diff = axis_difference_per_step(values, grid, axis, order, s)
+        if len(axes) > 1:
+            fill_norms_per_step(diff, grid, l, p, axes[1:], out[s - 1])
+            continue
+        np.abs(diff, out=diff)
+        if p == np.inf:
+            out[s - 1] = float(np.max(diff))
+        else:
+            diff **= p
+            out[s - 1] = grid.integrate(diff) ** (1.0 / p)
+    if order == 0:
+        out[1:] = out[0]
+
+
+def modulus_table_per_step(f, l, p, axes):
+    """Modulus table values through fill_norms_per_step, nested as modulus_table nests them.
+
+    The nesting order (identity axes, then decreasing order, higher axis
+    first on ties) is repeated here because a different order changes the
+    rounding.
+    """
+    grid = f.grid
+    nest = tuple(sorted(axes, key=lambda a: (l[a] != 0, -l[a], -a)))
+    norms = np.zeros((grid.cells_per_axis,) * len(axes))
+    fill_norms_per_step(f.values, grid, l, p, nest, norms)
+    norms = np.transpose(norms, [nest.index(a) for a in axes])
+    for axis in range(norms.ndim):
+        norms = np.maximum.accumulate(norms, axis=axis)
+    idx = [2 ** (grid.level - m) - 1 for m in range(grid.level + 1)]
+    return norms[np.ix_(*([idx] * len(axes)))]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -205,6 +206,25 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+
+class TestRejectedBeforeWork:
+    # each names the bad value, and no numpy warning comes before the error
+    @pytest.mark.parametrize("argv, message", [
+        (["smoothness", "--d", "1", "--alpha", "1", "--K", "0"], "K must be >= 1, got 0"),
+        (["smoothness", "--d", "1", "--alpha", "1", "--K", "3", "--q", "0.5"],
+         "q must be >= 1, got 0.5"),
+        (["lp-sweep", "--d", "1", "--K", "3", "--sign-trials", "0"],
+         "sign_trials must be >= 1, got 0"),
+    ], ids=["smoothness-K-0", "smoothness-q-half", "lp-sweep-sign-trials-0"])
+    def test_exits_2_naming_the_value(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
 
 class TestOutputPlumbing:

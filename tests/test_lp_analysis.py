@@ -257,6 +257,8 @@ def test_lp_report_shape():
     assert {row["statistic"] for row in rows} == {"square_ratio", "pstar", "sign_ratio"}
     with pytest.raises(ValueError):
         lp_report(g, (3,), (0,), (3.0,), trials=0)
+    with pytest.raises(ValueError, match="sign_trials must be >= 1, got 0"):
+        lp_report(g, (3,), (0,), (3.0,), trials=2, sign_trials=0)
 
 
 def test_lp_report_measures_every_p_on_one_ensemble():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymra import DyadicCube, PiecewisePoly, grid_for, lp_norm, project_level
-from polymra.grid import Grid
+from polymra.grid import Grid, box_lp_norm
 from polymra.quadrature import gauss_rule, interval_basis_table, legendre_table
 
 from oracles import legendre_eval, local_project
@@ -122,6 +122,34 @@ def test_lp_norm_values():
         assert lp_norm(sign, p) == pytest.approx(1.0, abs=1e-13)
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
+
+
+def test_box_norm_square_has_the_bits_of_pow(monkeypatch):
+    # box_lp_norm squares at p = 2 with one multiply; pin that to **= 2.0 on
+    # subnormals, values around sqrt(DBL_MAX), +-inf, nan and -0.0, and to
+    # the square of |x|, since the modulus walk passes signed values there
+    rng = np.random.default_rng(2)
+    info = np.finfo(float)
+    tiny, root = info.smallest_subnormal, math.sqrt(info.max)
+    x = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, info.tiny, -info.tiny, root, -root,
+         np.nextafter(root, 0.0), np.nextafter(root, np.inf), info.max,
+         np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.5],
+        rng.integers(1, 2 ** 52, 2000) * tiny * rng.choice([-1.0, 1.0], 2000),
+        rng.uniform(-4.0, 4.0, 2000) * root,
+        rng.standard_normal(2000) * 2.0 ** rng.integers(-1074, 1024, 2000),
+    ])
+    seen = []
+    monkeypatch.setattr(Grid, "integrate", lambda self, values: seen.append(values.copy()) or 0.0)
+    g = grid_for(1, degree=0, level=0)
+    want = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for signed in (x, np.abs(x)):
+            box_lp_norm(g, signed.copy(), 2.0)
+        want **= 2.0
+    assert len(seen) == 2
+    for got in seen:
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_lp_norm_rejects_nan():

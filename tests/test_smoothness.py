@@ -25,7 +25,7 @@ from polymra.smoothness import (
     synthesize_extremal,
 )
 
-from oracles import mixed_difference_brute
+from oracles import fill_norms_per_step, mixed_difference_brute, modulus_table_per_step
 
 
 class TestParams:
@@ -55,7 +55,7 @@ class TestMixedDifference:
         # step of 4 cells: the slab is the first 64 - 4 cells, where x + h - x = h
         g = grid_for(1, degree=1)
         f = g.sample(lambda x: x)
-        diff = _axis_difference(f.values, g, 0, 1, 4)
+        diff = _axis_difference(f.values, g, 0, 1, 4, np.empty(f.values.size))
         assert diff.shape == ((64 - 4) * g.nodes_per_cell[0],)
         assert np.allclose(diff, 4 / 64, atol=1e-14)
 
@@ -72,7 +72,8 @@ class TestMixedDifference:
         for shifts, orders in (((3, 2), (1, 2)), ((1, 1), (2, 1)), ((4, 5), (1, 1))):
             got = f.values
             for axis in (0, 1):
-                got = _axis_difference(got, g, axis, orders[axis], shifts[axis])
+                got = _axis_difference(got, g, axis, orders[axis], shifts[axis],
+                                       np.empty(got.size))
             full = np.zeros(g.shape)
             full[tuple(slice(0, n) for n in got.shape)] = got
             assert np.max(np.abs(full - mixed_difference_brute(f, shifts, orders))) <= 1e-12
@@ -231,9 +232,9 @@ class TestModulusTable:
         calls = []
         diff = polymra.smoothness._axis_difference
 
-        def counted(values, grid, axis, order, shift):
+        def counted(values, grid, axis, order, shift, buf):
             calls.append((axis, order))
-            return diff(values, grid, axis, order, shift)
+            return diff(values, grid, axis, order, shift, buf)
 
         monkeypatch.setattr(polymra.smoothness, "_axis_difference", counted)
         modulus_table(f, orders, 2.0)
@@ -261,6 +262,45 @@ class TestModulusTable:
             want = norms[np.ix_(idx, idx)]
             np.testing.assert_allclose(
                 modulus_table(f, orders, 3.0).values, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("kind", [
+        "noise", "constant", "spike", "alternating", "subnormal", "huge"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_reused_buffers_match_the_per_step_route_bit_for_bit(self, kind, p):
+        # the buffered walk and the allocate / abs / pow route of the oracle
+        # run the same roundings; at 1e154 squares and cubes overflow to inf
+        rng = np.random.default_rng(31)
+        configs = [
+            (grid_for(1, degree=1, level=4), [(0,), (1,), (2,), (3,)]),
+            (grid_for(2, degree=(1, 0), level=3), [(0, 3), (1, 2), (3, 1), (2, 2)]),
+            (grid_for(3, degree=(0, 1, 2), level=2), [(1, 0, 3), (2, 1, 1), (3, 2, 0)]),
+        ]
+        for g, order_list in configs:
+            noise = rng.standard_normal(g.shape)
+            values = {
+                "noise": noise,
+                "constant": np.full(g.shape, 0.7),
+                "spike": np.zeros(g.shape),
+                "alternating": np.where(np.indices(g.shape).sum(axis=0) % 2, -1.5, 1.5),
+                "subnormal": noise * 1e-310,
+                "huge": np.where(noise < 0, -1e154, 1e154),
+            }[kind]
+            if kind == "spike":
+                values[tuple(n // 3 for n in g.shape)] = 1.0
+            f = GridFunction(g, values)
+            cells = g.cells_per_axis
+            for orders in order_list:
+                for axes in {tuple(range(g.d)), tuple(reversed(range(g.d)))}:
+                    got = np.zeros((cells,) * g.d)
+                    want = np.zeros((cells,) * g.d)
+                    _fill_norms(values, g, orders, p, axes, got)
+                    fill_norms_per_step(values, g, orders, p, axes, want)
+                    assert np.array_equal(got, want, equal_nan=True), (orders, axes)
+                for axes in {tuple(range(g.d)), tuple(sorted({0, g.d - 1}))}:
+                    got = modulus_table(f, orders, p, axes=axes).values
+                    want = modulus_table_per_step(f, orders, p, axes)
+                    assert np.array_equal(got, want, equal_nan=True), (orders, axes)
 
 
 class TestBesovSeminorm:
@@ -315,6 +355,13 @@ class TestDecayCheck:
         assert ratios[kappa] == pytest.approx(2.0 ** (2 * 1.5), rel=1e-12)
         others = [v for k, v in ratios.items() if k != kappa]
         assert max(others) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.5, math.nan])
+    def test_q_below_one_is_named(self, q):
+        # the norm exponent of the blocks is q, not the class exponent p
+        f = grid_for(1, degree=1, level=3).zeros()
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            decay_check(f, SmoothnessParams((1.0,), p=2.0), q)
 
     def test_exponent_shift_audit(self):
         # bound exponent moves by exactly (1/p - 1/q)_+ per unit level
