@@ -23,7 +23,13 @@ from .grid import GridFunction, grid_for, lp_norm
 from .indexing import counting_ratios, min_multiplicity
 from .lp_analysis import detail_components, lp_report, random_resolved
 from .projectors import analyze, parseval_gap, project_level, synthesize
-from .smoothness import SmoothnessParams, besov_seminorm, decay_check, synthesize_extremal
+from .smoothness import (
+    SmoothnessParams,
+    _check_q,
+    besov_seminorm,
+    decay_check,
+    synthesize_extremal,
+)
 from .widths import WidthExperimentConfig, budget_plan, choose_beta, rate_fit, width_experiment
 
 __all__ = ["main"]
@@ -263,6 +269,7 @@ def _cmd_smoothness(args) -> int:
     params = SmoothnessParams(alpha=args.alpha, p=args.p, theta=args.theta)
     if len(args.alpha) != args.d:
         raise ValueError(f"alpha {args.alpha} does not match d={args.d}")
+    _check_q(args.q)
     f = synthesize_extremal(params, args.K, args.seed)
     seminorm = besov_seminorm(f, params)
     unit = GridFunction(f.grid, f.values / seminorm)

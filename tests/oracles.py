@@ -508,3 +508,32 @@ def modulus_table_per_step(f, l, p, axes):
         norms = np.maximum.accumulate(norms, axis=axis)
     idx = [2 ** (grid.level - m) - 1 for m in range(grid.level + 1)]
     return norms[np.ix_(*([idx] * len(axes)))]
+
+
+def step_energies_dense_gram(values, grid, axis, order):
+    """Squared difference norms of every step from the full node Gram, no Gauss-index split.
+
+    The L x L Gram of the nodes along the axis, weighted by the quadrature
+    weights of the other axes, gives each step's squared norm as a double
+    sum over the binomial weights of window sums of lagged entries, the
+    axis weight of each node taken from its own position; the library
+    splits the nodes by Gauss index and sums cell diagonals instead.
+    """
+    n = grid.nodes_per_cell[axis]
+    cells = grid.cells_per_axis
+    nodes = np.moveaxis(values, axis, 0).reshape(cells * n, -1)
+    rest = np.ones(())
+    for j, size in enumerate(values.shape):
+        if j != axis:
+            rest = np.multiply.outer(rest, grid.axis_weights[j][:size])
+    gram = (nodes * rest.ravel()) @ nodes.T
+    w = grid.axis_weights[axis]
+    c = [(-1) ** (order - k) * math.comb(order, k) for k in range(order + 1)]
+    steps = (cells - 1) // order if order else 1
+    out = np.zeros(steps)
+    for s in range(1, steps + 1):
+        x = np.arange((cells - order * s) * n)
+        for k in range(order + 1):
+            for k2 in range(order + 1):
+                out[s - 1] += c[k] * c[k2] * np.sum(w[x] * gram[x + k * s * n, x + k2 * s * n])
+    return out

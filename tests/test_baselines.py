@@ -16,6 +16,8 @@ from polymra.widths import WidthExperimentConfig, rate_fit, width_experiment
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINES = os.path.join(ROOT, "baselines", "empirical.json")
 GOLDEN_CZD = os.path.join(ROOT, "baselines", "golden_czd_demo.csv")
+GOLDEN_SMOOTHNESS = os.path.join(ROOT, "baselines", "golden_smoothness_demo.csv")
+GOLDEN_SMOOTHNESS_3D = os.path.join(ROOT, "baselines", "golden_smoothness_d3.csv")
 REFERENCE_CZD_2D = os.path.join(ROOT, "perfbench", "reference", "czd.csv")
 PERFBENCH = os.path.join(ROOT, "perfbench")
 if PERFBENCH not in sys.path:
@@ -71,6 +73,19 @@ class TestGoldenReport:
         with open(GOLDEN_CZD) as fh:
             golden = fh.read()
         assert (tmp_path / "fresh.csv").read_text() == golden
+
+    @pytest.mark.parametrize("argv, golden", [
+        # the benchmark's smoothness argv at its default seed
+        (["--d", "2", "--alpha", "0.5,1.0", "--K", "6", "--seed", "7"], GOLDEN_SMOOTHNESS),
+        # every nonempty axis subset of a d = 3 grid, order 2 on each axis
+        (["--d", "3", "--alpha", "1,1,1", "--K", "3", "--seed", "7"], GOLDEN_SMOOTHNESS_3D),
+    ], ids=["bench", "d3"])
+    def test_smoothness_matches_byte_for_byte(self, capsys, tmp_path, argv, golden):
+        code = main(["smoothness", *argv, "--out", str(tmp_path / "fresh.csv")])
+        assert code == 0
+        with open(golden) as fh:
+            want = fh.read()
+        assert (tmp_path / "fresh.csv").read_text() == want
 
     def test_czd_square_demo_matches_reference(self, capsys, tmp_path):
         # the benchmark's czd report: the only d=2 Whitney/maximal-function report

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import polymra
+import polymra.cli
 from polymra.cli import build_parser, main
 
 
@@ -217,7 +218,11 @@ class TestRejectedBeforeWork:
         (["lp-sweep", "--d", "1", "--K", "3", "--sign-trials", "0"],
          "sign_trials must be >= 1, got 0"),
     ], ids=["smoothness-K-0", "smoothness-q-half", "lp-sweep-sign-trials-0"])
-    def test_exits_2_naming_the_value(self, capsys, argv, message):
+    def test_exits_2_naming_the_value(self, capsys, monkeypatch, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the extremal profile was built before the check")
+
+        monkeypatch.setattr(polymra.cli, "synthesize_extremal", no_work)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(argv)

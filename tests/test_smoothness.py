@@ -1,5 +1,6 @@
 """Mixed differences, moduli, smoothness seminorms, extremal synthesis."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -19,13 +20,19 @@ from polymra.smoothness import (
     SmoothnessParams,
     _axis_difference,
     _fill_norms,
+    _step_bounds,
     besov_seminorm,
     decay_check,
     modulus_table,
     synthesize_extremal,
 )
 
-from oracles import fill_norms_per_step, mixed_difference_brute, modulus_table_per_step
+from oracles import (
+    fill_norms_per_step,
+    mixed_difference_brute,
+    modulus_table_per_step,
+    step_energies_dense_gram,
+)
 
 
 class TestParams:
@@ -141,6 +148,22 @@ class TestMixedModulus:
         assert modulus_table(f, 1, 2.0, axes=(np.int64(1),)).axes == (1,)
 
 
+def _count_differences(monkeypatch, level, orders, p):
+    """(axis, order) -> _axis_difference calls of modulus_table on seeded noise."""
+    g = grid_for(2, degree=(0, 1), level=level)
+    f = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
+    calls = []
+    diff = polymra.smoothness._axis_difference
+
+    def counted(values, grid, axis, order, shift, buf):
+        calls.append((axis, order))
+        return diff(values, grid, axis, order, shift, buf)
+
+    monkeypatch.setattr(polymra.smoothness, "_axis_difference", counted)
+    modulus_table(f, orders, p)
+    return {key: calls.count(key) for key in set(calls)}
+
+
 class TestModulusTable:
     def test_monotone_and_decaying(self):
         g = grid_for(2, degree=(1, 1), level=4)
@@ -227,18 +250,18 @@ class TestModulusTable:
         (4, (1, 0), {(1, 0): 1, (0, 1): 15}),
     ])
     def test_cheapest_difference_runs_innermost(self, monkeypatch, level, orders, want):
-        g = grid_for(2, degree=(0, 1), level=level)
-        f = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
-        calls = []
-        diff = polymra.smoothness._axis_difference
+        # p = 3 keeps the full scan: one innermost difference per step vector
+        assert _count_differences(monkeypatch, level, orders, 3.0) == want
 
-        def counted(values, grid, axis, order, shift, buf):
-            calls.append((axis, order))
-            return diff(values, grid, axis, order, shift, buf)
-
-        monkeypatch.setattr(polymra.smoothness, "_axis_difference", counted)
-        modulus_table(f, orders, 2.0)
-        assert {key: calls.count(key) for key in set(calls)} == want
+    @pytest.mark.parametrize("level, orders, want", [
+        # noise peaks at the smallest step vector, whose bound rules out every other one
+        (6, (1, 2), {(1, 2): 31, (0, 1): 1}),
+        (4, (1, 1), {(1, 1): 15, (0, 1): 1}),
+        (4, (1, 0), {(1, 0): 1, (0, 1): 1}),
+    ])
+    def test_pruned_walk_runs_each_outer_difference_once(self, monkeypatch, level, orders, want):
+        # p = 2 certifies the innermost steps; the outer slabs are still formed once per step
+        assert _count_differences(monkeypatch, level, orders, 2.0) == want
 
     @pytest.mark.parametrize("orders", [(0, 2), (2, 1), (1, 2), (3, 1), (1, 1)])
     def test_matches_brute_force_differences(self, orders):
@@ -301,6 +324,112 @@ class TestModulusTable:
                     got = modulus_table(f, orders, p, axes=axes).values
                     want = modulus_table_per_step(f, orders, p, axes)
                     assert np.array_equal(got, want, equal_nan=True), (orders, axes)
+
+
+class TestCertifiedPruning:
+    """p = 2: Gram bounds on every innermost step, exact norms only where a box max can sit."""
+
+    GRIDS = [
+        grid_for(1, degree=1, level=4),
+        grid_for(2, degree=(1, 0), level=3),
+        grid_for(3, degree=(0, 1, 2), level=2),
+    ]
+
+    @staticmethod
+    def _input(kind, g, rng):
+        noise = rng.standard_normal(g.shape)
+        if kind == "smooth":
+            return g.sample(lambda *x: np.sin(3.0 * sum(x)) + math.prod(x) ** 2).values
+        if kind == "spike":
+            out = np.zeros(g.shape)
+            out[tuple(n // 3 for n in g.shape)] = 1.0
+            return out
+        return {
+            "noise": noise,
+            "constant": np.full(g.shape, 0.7),
+            "alternating": np.where(np.indices(g.shape).sum(axis=0) % 2, -1.5, 1.5),
+            # squares underflow to 0, or land among the subnormals
+            "tiny": noise * 2.0 ** -1000,
+            "subnormal": noise * 2.0 ** -530,
+            "huge": np.where(noise < 0, -1e154, 1e154),
+        }[kind]
+
+    @pytest.mark.parametrize("kind", [
+        "noise", "smooth", "constant", "spike", "alternating", "tiny", "subnormal", "huge"])
+    def test_bounds_enclose_the_squared_norm_of_every_step(self, kind):
+        # lo <= I(s) <= hi against the pre-root sum of the exact route, on the
+        # whole grid and on a slab one cell short along the other axes, where
+        # the leading weights of those axes apply; the dense Gram lands inside too
+        rng = np.random.default_rng(17)
+        for g in self.GRIDS:
+            values = self._input(kind, g, rng)
+            cells = g.cells_per_axis
+            for axis in range(g.d):
+                short = tuple(slice(None) if j == axis else slice(0, (cells - 1) * n)
+                              for j, n in enumerate(g.nodes_per_cell))
+                for slab in (values, np.ascontiguousarray(values[short])):
+                    buf = np.empty(slab.size)
+                    for order in range(4):
+                        bounds = _step_bounds(slab, g, axis, order, buf)
+                        if kind == "huge":  # (2^order 1e154)^2 may overflow the route
+                            assert bounds is None
+                            continue
+                        lo, hi = bounds
+                        steps = (cells - 1) // order if order else 1
+                        exact = np.array([
+                            g.integrate(np.square(_axis_difference(slab, g, axis, order, s, buf)))
+                            for s in range(1, steps + 1)])
+                        assert np.all(lo <= exact) and np.all(exact <= hi), (axis, order)
+                        dense = step_energies_dense_gram(slab, g, axis, order)
+                        assert np.all(np.abs(dense - (lo + hi) / 2) <= hi - lo), (axis, order)
+
+    def test_bounds_are_tight_relative_to_the_slab_energy(self):
+        # the enclosure is rounding-sized, so near-max steps separate
+        g = grid_for(2, degree=(1, 1), level=5)
+        values = np.random.default_rng(3).standard_normal(g.shape)
+        lo, hi = _step_bounds(values, g, 0, 2, np.empty(values.size))
+        energy = g.integrate(values * values)
+        assert np.max(hi - lo) <= 1e-9 * energy
+
+    def test_non_finite_slab_is_not_pruned(self):
+        g = grid_for(2, degree=(1, 0), level=3)
+        values = np.random.default_rng(5).standard_normal(g.shape)
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = values.copy()
+            broken[3, 1] = bad
+            assert _step_bounds(broken, g, 0, 1, np.empty(broken.size)) is None
+
+    def test_other_precisions_are_not_pruned(self):
+        # numpy differences float32 or integer values in their own arithmetic,
+        # which the float64 rounding bound does not cover
+        g = grid_for(1, degree=1, level=4)
+        values = np.random.default_rng(9).standard_normal(g.shape)
+        for dtype in (np.float32, np.int64):
+            slab = (values * 1000).astype(dtype)
+            assert _step_bounds(slab, g, 0, 1, np.empty(slab.size)) is None
+
+    @pytest.mark.parametrize("alpha, level", [((0.5, 1.0), 6), ((1.0, 1.0, 1.0), 4)],
+                             ids=["bench", "d3"])
+    def test_pruned_tables_equal_the_per_step_route(self, alpha, level):
+        # every dyadic box max is computed exactly, on every axis subset
+        params = SmoothnessParams(alpha)
+        f = synthesize_extremal(params, level, seed=7)
+        for r in range(1, len(alpha) + 1):
+            for axes in itertools.combinations(range(len(alpha)), r):
+                got = modulus_table(f, params.l, 2.0, axes=axes).values
+                assert np.array_equal(got, modulus_table_per_step(f, params.l, 2.0, axes)), axes
+
+    def test_skipped_steps_stay_zero_and_kept_steps_are_exact(self):
+        g = grid_for(2, degree=(0, 1), level=4)
+        f = g.sample(lambda x, y: np.sin(7 * x) * np.exp(2 * y) + x * y ** 3)
+        cells = g.cells_per_axis
+        full = np.zeros((cells, cells))
+        pruned = np.zeros((cells, cells))
+        _fill_norms(f.values, g, (1, 2), 2.0, (1, 0), full)
+        _fill_norms(f.values, g, (1, 2), 2.0, (1, 0), pruned, np.zeros((5, 5)))
+        kept = pruned > 0
+        assert 0 < kept.sum() < (full > 0).sum()
+        assert np.array_equal(pruned[kept], full[kept])
 
 
 class TestBesovSeminorm:
