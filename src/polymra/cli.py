@@ -166,6 +166,8 @@ def _store_baselines(path: str, updates: dict) -> None:
 
 
 def _cmd_verify_projectors(args) -> int:
+    if args.trials < 1:  # no trial would run a single check
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     degrees = args.l if len(args.l) > 1 else args.l * args.d
     if len(degrees) != args.d:
         raise ValueError(f"degree vector {degrees} does not match d={args.d}")
@@ -269,6 +271,10 @@ def _cmd_smoothness(args) -> int:
     params = SmoothnessParams(alpha=args.alpha, p=args.p, theta=args.theta)
     if len(args.alpha) != args.d:
         raise ValueError(f"alpha {args.alpha} does not match d={args.d}")
+    order = max(params.l)
+    if 2 ** args.K <= order:  # no whole-cell step fits: every modulus is 0
+        raise ValueError(f"K={args.K} is too coarse for difference order {order}: "
+                         f"need 2^K > {order}")
     _check_q(args.q)
     f = synthesize_extremal(params, args.K, args.seed)
     seminorm = besov_seminorm(f, params)

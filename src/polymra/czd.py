@@ -35,6 +35,8 @@ __all__ = [
 
 # entries per tile array of maximal_function: centres times kept offsets
 _TILE_FLOATS = 2 ** 17
+# entries per integer temporary of _scaled_dist2: boxes times cells times d
+_DIST_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,11 @@ class CellSet:
 
 
 def _node_weights(grid: Grid) -> np.ndarray:
+    """Quadrature weight of every node, shaped like the grid."""
     w = grid.axis_weights[0]
     for aw in grid.axis_weights[1:]:
         w = np.multiply.outer(w, aw)
-    return w.reshape(-1)
+    return w
 
 
 def _ball_measure(d: int, radii: np.ndarray) -> np.ndarray:
@@ -151,7 +154,7 @@ def maximal_function(f: GridFunction) -> GridFunction:
     cells = grid.cells_per_axis
     nodes = grid.nodes_per_cell
     r_min = math.sqrt(d) * 2.0 ** -grid.level
-    w = _node_weights(grid).reshape(grid.shape)
+    w = _node_weights(grid)
     wf = w * np.abs(f.values)
     # W and S: with u = 2^-53, a float running sum of nonnegative terms is
     # at most (1 + u)^L times their exact sum, L the number of terms, and a
@@ -230,7 +233,7 @@ def maximal_function(f: GridFunction) -> GridFunction:
 
 def level_set_measure(h: GridFunction, alpha: float) -> float:
     """Quadrature measure of the strict superlevel set {h > alpha}."""
-    return float(_node_weights(h.grid)[h.values.reshape(-1) > alpha].sum())
+    return float(_node_weights(h.grid)[h.values > alpha].sum())
 
 
 def sublevel_cellset(h: GridFunction, alpha: float) -> CellSet:
@@ -276,16 +279,21 @@ def _scaled_dist2(lo: np.ndarray, hi: np.ndarray, cells: np.ndarray,
     """Squared distance, in units of the finest cell width, from boxes to the cell set.
 
     lo, hi: (m, d) integer corners at scale 2^-K; cells: (n, d) marked cell
-    indices.  Exact integer arithmetic throughout.
+    indices.  Exact integer arithmetic throughout, over runs of boxes whose
+    (boxes, n, d) temporaries hold at most max(_DIST_ENTRIES, n d) integers.
     """
     best = None
     if surround:
         ext = np.minimum(lo, side - hi).min(axis=1)
         best = ext * ext
     if len(cells):
-        gap = np.maximum(np.maximum(cells[None, :, :] - hi[:, None, :],
-                                    lo[:, None, :] - cells[None, :, :] - 1), 0)
-        d2 = (gap * gap).sum(axis=2).min(axis=1)
+        d2 = np.empty(len(lo), dtype=np.int64)
+        rows = max(_DIST_ENTRIES // cells.size, 1)
+        for at in range(0, len(lo), rows):
+            run = slice(at, at + rows)
+            gap = np.maximum(np.maximum(cells - hi[run, None, :],
+                                        lo[run, None, :] - cells - 1), 0)
+            d2[run] = (gap * gap).sum(axis=2).min(axis=1)
         best = d2 if best is None else np.minimum(best, d2)
     if best is None:
         raise ValueError("empty closed set: distances are undefined")
@@ -302,6 +310,10 @@ def whitney(F: CellSet, *, surround: bool = True) -> WhitneyDecomposition:
     accepted before; accepted cubes are pairwise disjoint as open boxes and
     each satisfies diam Q < dist(Q, F) <= 4 diam Q up to one cell width.
 
+    Dyadic cubes nest, so a cube has an accepted ancestor exactly when its
+    first finest cell is covered.  Memory: a few boolean masks of the mesh
+    plus the bounded temporaries of _scaled_dist2.
+
     surround=True treats everything outside the unit cube as part of F,
     which keeps the complement's measure finite; with surround=False an
     empty F is rejected since no base level exists.
@@ -314,23 +326,17 @@ def whitney(F: CellSet, *, surround: bool = True) -> WhitneyDecomposition:
     if not surround and len(cells) == 0:
         raise ValueError("empty closed set: no base level exists")
     w_mask = ~F.mask
-
-    # boundary cells of the complement: within sqrt(d) 2^-K of F
-    boundary = 0
-    if w_mask.any():
-        w_cells = np.argwhere(w_mask).astype(np.int64)
-        d2 = _scaled_dist2(w_cells, w_cells + 1, cells, side, surround)
-        boundary = int((d2 <= d).sum())
-
-    dec = WhitneyDecomposition(resolution=K, d=d, base_level=None,
-                               boundary_cells=boundary)
+    dec = WhitneyDecomposition(resolution=K, d=d, base_level=None)
     if not w_mask.any():
         return dec
 
-    covered = np.zeros_like(w_mask)
-    accepted_at: dict[int, set[tuple[int, ...]]] = {}
-    dists: list[float] = []
+    # boundary cells of the complement: within sqrt(d) 2^-K of F
+    w_cells = np.argwhere(w_mask).astype(np.int64)
+    d2 = _scaled_dist2(w_cells, w_cells + 1, cells, side, surround)
+    dec.boundary_cells = int((d2 <= d).sum())
 
+    covered = np.zeros_like(w_mask)
+    dists = [dec.cube_dist]
     for k in range(K + 1):
         scale = 2 ** (K - k)
         nus = np.indices((2 ** k,) * d).reshape(d, -1).T.astype(np.int64)
@@ -341,22 +347,16 @@ def whitney(F: CellSet, *, surround: bool = True) -> WhitneyDecomposition:
             if not good.any():
                 continue
             dec.base_level = k
-        level_set: set[tuple[int, ...]] = set()
-        for idx in np.flatnonzero(good):
-            nu = tuple(int(v) for v in nus[idx])
-            if any(tuple(v >> (k - m) for v in nu) in taken
-                   for m, taken in accepted_at.items()):
-                continue
-            level_set.add(nu)
-            dec.cubes.append(DyadicCube((k,) * d, nu))
-            dists.append(math.sqrt(float(d2[idx])) / side)
-            covered[tuple(slice(v * scale, (v + 1) * scale) for v in nu)] = True
-        if level_set:
-            accepted_at[k] = level_set
+        accepted = good & ~covered[(slice(None, None, scale),) * d].ravel()
+        dec.cubes.extend(DyadicCube((k,) * d, tuple(map(int, nu))) for nu in nus[accepted])
+        dists.append(np.sqrt(d2[accepted]) / side)
+        # a view of the mesh with one (scale,) * d block per level-k cube
+        view = covered.reshape([n for _ in range(d) for n in (2 ** k, scale)])
+        view |= accepted.reshape((2 ** k, 1) * d)
         if not (w_mask & ~covered).any():
             break
 
-    dec.cube_dist = np.array(dists)
+    dec.cube_dist = np.concatenate(dists)
     dec.residual_measure = int((w_mask & ~covered).sum()) * Fraction(1, side ** d)
     return dec
 
@@ -373,16 +373,18 @@ class CZSplit:
 
     g agrees with f off the Whitney cubes and equals the cube average of f
     on each of them; every bad block h_r = (f - avg) chi_Q has quadrature
-    mean zero, and f = g + sum h_r holds node by node.
+    mean zero, and f = g + sum h_r holds node by node.  Each block holds
+    only its values on grid.cube_slices(Q), with mean grid.integrate(h), so
+    the disjoint cubes' blocks hold at most one float per node.
     """
 
     g: GridFunction
-    bad_blocks: list[tuple[DyadicCube, GridFunction]]
+    bad_blocks: list[tuple[DyadicCube, np.ndarray]]
 
     def reconstruct(self) -> GridFunction:
         out = self.g.values.copy()
-        for _, h in self.bad_blocks:
-            out += h.values
+        for cube, h in self.bad_blocks:
+            out[self.g.grid.cube_slices(cube)] += h
         return GridFunction(self.g.grid, out)
 
 
@@ -405,16 +407,14 @@ def cz_split(f: GridFunction, alpha: float) -> tuple[CellSet, WhitneyDecompositi
     grid = f.grid
     F = sublevel_cellset(maximal_function(f), alpha)
     dec = whitney(F)
-    weights = _node_weights(grid).reshape(grid.shape)
+    weights = _node_weights(grid)
     g = f.values.copy()
-    blocks: list[tuple[DyadicCube, GridFunction]] = []
+    blocks: list[tuple[DyadicCube, np.ndarray]] = []
     for cube in dec.cubes:
         sel = grid.cube_slices(cube)
         avg = _cube_average(weights, f.values, sel)
-        h = np.zeros(grid.shape)
-        h[sel] = f.values[sel] - avg
+        blocks.append((cube, f.values[sel] - avg))
         g[sel] = avg
-        blocks.append((cube, GridFunction(grid, h)))
     return F, dec, CZSplit(GridFunction(grid, g), blocks)
 
 
@@ -429,7 +429,7 @@ def cz_constants(f: GridFunction, alpha: float) -> dict:
     Mf = maximal_function(f)
     F, dec, split = cz_split(f, alpha)
     l1 = f.lp_norm(1.0)
-    weights = _node_weights(f.grid).reshape(f.grid.shape)
+    weights = _node_weights(f.grid)
     absf = np.abs(f.values)
     avg_max = 0.0
     for cube in dec.cubes:

@@ -181,7 +181,7 @@ def test_criterion_07_cz_decomposition():
             diam = cube.diameter()
             assert diam < dist <= 4.0 * diam + 2.0**-6 + 1e-12
         for _, h in split.bad_blocks:
-            assert abs(f.grid.integrate(h.values)) <= 1e-12
+            assert abs(f.grid.integrate(h)) <= 1e-12
         assert np.abs(split.reconstruct().values - f.values).max() <= 1e-12
         total_cubes += len(wdec.cubes)
     assert total_cubes > 0

@@ -16,6 +16,7 @@ from polymra.widths import WidthExperimentConfig, rate_fit, width_experiment
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINES = os.path.join(ROOT, "baselines", "empirical.json")
 GOLDEN_CZD = os.path.join(ROOT, "baselines", "golden_czd_demo.csv")
+GOLDEN_CZD_2D = os.path.join(ROOT, "baselines", "golden_czd_d2.csv")
 GOLDEN_SMOOTHNESS = os.path.join(ROOT, "baselines", "golden_smoothness_demo.csv")
 GOLDEN_SMOOTHNESS_3D = os.path.join(ROOT, "baselines", "golden_smoothness_d3.csv")
 REFERENCE_CZD_2D = os.path.join(ROOT, "perfbench", "reference", "czd.csv")
@@ -71,6 +72,17 @@ class TestGoldenReport:
         )
         assert code == 0
         with open(GOLDEN_CZD) as fh:
+            golden = fh.read()
+        assert (tmp_path / "fresh.csv").read_text() == golden
+
+    def test_czd_square_golden_matches_byte_for_byte(self, capsys, tmp_path):
+        # 116 Whitney cubes on two levels
+        code = main(
+            ["czd", "--d", "2", "--demo", "bump", "--alpha", "0.5", "--K", "5",
+             "--out", str(tmp_path / "fresh.csv")]
+        )
+        assert code == 0
+        with open(GOLDEN_CZD_2D) as fh:
             golden = fh.read()
         assert (tmp_path / "fresh.csv").read_text() == golden
 

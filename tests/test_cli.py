@@ -217,12 +217,19 @@ class TestRejectedBeforeWork:
          "q must be >= 1, got 0.5"),
         (["lp-sweep", "--d", "1", "--K", "3", "--sign-trials", "0"],
          "sign_trials must be >= 1, got 0"),
-    ], ids=["smoothness-K-0", "smoothness-q-half", "lp-sweep-sign-trials-0"])
+        # alpha 1.0 gives order 2, which needs more than the 2 cells of K = 1
+        (["smoothness", "--d", "1", "--K", "1"],
+         "K=1 is too coarse for difference order 2: need 2^K > 2"),
+        (["verify-projectors", "--d", "1", "--K", "2", "--trials", "0"],
+         "trials must be >= 1, got 0"),
+    ], ids=["smoothness-K-0", "smoothness-q-half", "lp-sweep-sign-trials-0",
+            "smoothness-K-below-order", "verify-projectors-trials-0"])
     def test_exits_2_naming_the_value(self, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):
-            raise AssertionError("the extremal profile was built before the check")
+            raise AssertionError("work began before the check")
 
         monkeypatch.setattr(polymra.cli, "synthesize_extremal", no_work)
+        monkeypatch.setattr(polymra.cli, "random_resolved", no_work)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(argv)

@@ -1,6 +1,7 @@
 """Maximal function, Whitney decomposition, good/bad splitting."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -264,15 +265,31 @@ class TestWhitney:
         assert full.base_level is None and full.cubes == []
         assert full.residual_measure == 0
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=3, max_value=5))
-    def test_random_masks_match_oracle(self, bits, K):
+    def test_distance_memory_is_bounded(self):
+        # all box-cell pairs at once, as (boxes, cells, d) integers, took 390 MB on this mask
+        m = np.random.default_rng(0).random((64, 64)) < 0.5
+        tracemalloc.start()
+        try:
+            whitney(CellSet(6, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak / 2 ** 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from((1, 2)),
+           st.booleans(), st.data())
+    def test_random_masks_match_oracle(self, bits, d, surround, data):
+        # d = 2 masks are sparse: denser ones leave no cube at K <= 4, and
+        # the oracle takes about 0.1 s per K = 4 mask
+        K = data.draw(st.integers(min_value=3, max_value=5 if d == 1 else 4))
         rng = np.random.default_rng(bits)
-        m = rng.random(2 ** K) < 0.15
+        m = rng.random((2 ** K,) * d) < (0.15 if d == 1 else 0.05)
+        if not surround and not m.any():
+            m.flat[0] = True  # without the exterior an empty F has no base level
         F = CellSet(K, m)
-        dec = whitney(F)
-        k0, accepted = whitney_brute(m)
+        dec = whitney(F, surround=surround)
+        k0, accepted = whitney_brute(m, surround=surround)
         assert dec.base_level == k0
         assert [(q.level[0], q.pos) for q in dec.cubes] == accepted
         _whitney_invariants(F, dec)
@@ -294,13 +311,13 @@ class TestCZSplit:
         F, dec, split = cz_split(f, 0.5)
         assert len(split.bad_blocks) > 0
         for _, h in split.bad_blocks:
-            assert abs(h.integral()) <= 1e-12
+            assert abs(f.grid.integrate(h)) <= 1e-12
         gap = split.reconstruct().values - f.values
         assert np.max(np.abs(gap)) <= 1e-12
         # the bump cells are not in F and the bad blocks carry the spike
         bump_cells = np.flatnonzero(np.abs((np.arange(64) + 0.5) / 64 - 0.4) < 0.03)
         assert not F.mask[bump_cells].any()
-        tall = max(np.max(np.abs(h.values)) for _, h in split.bad_blocks)
+        tall = max(np.max(np.abs(h)) for _, h in split.bad_blocks)
         assert tall > 5.0
 
     def test_invariants_on_corpus(self):
@@ -331,7 +348,7 @@ class TestCZSplit:
                 gap = split.reconstruct().values - f.values
                 assert np.max(np.abs(gap)) <= 1e-12
                 for _, h in split.bad_blocks:
-                    assert abs(h.integral()) <= 1e-12
+                    assert abs(f.grid.integrate(h)) <= 1e-12
                 assert float(F.complement().measure()) * alpha / l1 <= 1.5
                 assert np.max(np.abs(split.g.values)) <= 35.0 * alpha
                 assert split.g.lp_norm(2.0) ** 2 <= 25.0 * alpha * l1
@@ -345,7 +362,7 @@ class TestCZSplit:
         _whitney_invariants(F, dec)
         assert np.max(np.abs(split.reconstruct().values - f.values)) <= 1e-12
         for _, h in split.bad_blocks:
-            assert abs(h.integral()) <= 1e-12
+            assert abs(f.grid.integrate(h)) <= 1e-12
 
     def test_alpha_validation(self):
         g = grid_for(1, degree=0)
