@@ -26,6 +26,7 @@ from .projectors import analyze, parseval_gap, project_level, synthesize
 from .smoothness import (
     SmoothnessParams,
     _check_q,
+    _check_resolution,
     besov_seminorm,
     decay_check,
     synthesize_extremal,
@@ -271,10 +272,7 @@ def _cmd_smoothness(args) -> int:
     params = SmoothnessParams(alpha=args.alpha, p=args.p, theta=args.theta)
     if len(args.alpha) != args.d:
         raise ValueError(f"alpha {args.alpha} does not match d={args.d}")
-    order = max(params.l)
-    if 2 ** args.K <= order:  # no whole-cell step fits: every modulus is 0
-        raise ValueError(f"K={args.K} is too coarse for difference order {order}: "
-                         f"need 2^K > {order}")
+    _check_resolution(args.K, max(params.l))
     _check_q(args.q)
     f = synthesize_extremal(params, args.K, args.seed)
     seminorm = besov_seminorm(f, params)

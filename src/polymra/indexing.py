@@ -9,17 +9,16 @@ for every real that rounds to it. kappa is inside when (kappa, lo) <= r
 holds exactly, lo_j being the smallest real that rounds to beta_j, so an
 exact tie survives the rounding of its weights (5 * 0.4 <= 2 although
 float(0.4) > 2/5) and any larger excess is left out. Two weights that round
-to the same float cannot be told apart by any rule. One array rule decides
-membership for every row of an integer array of multi-levels from the float
-weights w = lattice @ beta (cross_contains is its one-row case): w decides
-outside the band |w - r| <= (d + 1) 2^-52 w, and the rows inside it are
-decided together by one exact integer comparison, with 2 lo_j scaled to
-Python ints by the lcm of their denominators (built once per beta) and r's
-denominator cleared on both sides. The band holds in
-any summation order: a length-d dot product of nonnegative terms lies within
-d 2^-53 w of its exact value (to first order) under any grouping, and
-(kappa, lo) within 2^-53 w of (kappa, beta): half the band. enum_cross,
-enum_shell, counting_ratios and widths use this rule.
+to the same float cannot be told apart by any rule. The rule is decided in
+integers only: 2 lo_j is a dyadic rational, scaled to an integer weight by
+the lcm of the denominators (built once per beta), and each lattice row
+gets one exact key (kappa, 2 lo) * scale, int64 when the largest key of
+the box provably stays below 2^63 and Python ints otherwise. Membership at
+r = num / den is then key <= (2 num scale) // den, one comparison per row
+at any radius, and a row's smallest integer radius is ceil(key / (2
+scale)). No float sum takes part, so no rounding band is needed.
+enum_cross, enum_shell, cross_contains (its one-row case, in Python
+ints), counting_ratios and widths use this rule.
 
 Which slots of a smoothness vector attain its minimum is decided with a
 1e-12 relative tolerance (minimal_slots); the admissible weight sets are
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
-_EPS = 2.0 ** -52
+_KEY_LIMIT = 2 ** 63
 
 
 def minimal_slots(x: Sequence[float]) -> list[int]:
@@ -104,34 +103,63 @@ def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=64)
-def _band_weights(beta: tuple[float, ...]) -> tuple[np.ndarray, int]:
+def _band_weights(beta: tuple[float, ...]) -> tuple[tuple[int, ...], int]:
     """(2 lo_j * scale as Python ints, scale), scale the lcm of the denominators of 2 lo_j.
 
-    2 lo_j is beta_j plus its lower float neighbour, a dyadic rational.  The
-    weights depend on beta alone, so they are built once per beta and shared
-    by every radius; the array is read-only.
+    2 lo_j is beta_j plus its lower float neighbour, a dyadic rational, so
+    the weights are exact integers.  They depend on beta alone, so they are
+    built once per beta and shared by every lattice and radius.
     """
     twice_lo = [Fraction(b) + Fraction(math.nextafter(b, 0.0)) for b in beta]
     scale = math.lcm(*(t.denominator for t in twice_lo))
-    weights = np.array([int(t * scale) for t in twice_lo], dtype=object)
-    weights.flags.writeable = False
-    return weights, scale
+    return tuple(int(t * scale) for t in twice_lo), scale
 
 
-def _inside(lattice: np.ndarray, w: np.ndarray, beta: Sequence[float], r: float) -> np.ndarray:
-    """Cross membership of each row of an (N, d) integer array; w = lattice @ beta.
+def _cross_keys(bound: Sequence[int], beta: tuple[float, ...]) -> tuple[np.ndarray, int]:
+    """(keys, scale): the exact key (kappa, 2 lo) * scale of every row of _lattice(bound).
 
-    Rows in the rounding band are decided at once in exact integers:
-    (kappa, 2 lo) <= 2 r with both sides multiplied by the denominator of
-    r and by the scale of _band_weights.
+    Keys come in the row order of _lattice(bound), as one outer sum per
+    axis.  They are int64 when the corner's key (the largest), 2 scale and
+    every weight stay below 2^63, and Python ints otherwise; both hold the
+    same numbers.
     """
-    inside = w < r
-    band = np.flatnonzero(np.abs(w - r) <= (len(beta) + 1) * _EPS * w)
-    if len(band):
-        weights, scale = _band_weights(tuple(float(b) for b in beta))
-        num, den = Fraction(r).as_integer_ratio()
-        inside[band] = (lattice[band].astype(object) @ weights) * den <= 2 * num * scale
-    return inside
+    weights, scale = _band_weights(beta)
+    corner = sum(b * w for b, w in zip(bound, weights))
+    dtype = np.int64 if max(corner, 2 * scale, *weights) < _KEY_LIMIT else object
+    keys = np.zeros((), dtype=dtype)
+    for b, w in zip(bound, weights):
+        keys = np.add.outer(keys, np.arange(b + 1, dtype=dtype) * w)
+    return keys.ravel(), scale
+
+
+def _top_key(r, scale: int) -> int:
+    """Largest key inside the cross at radius r: floor(2 r scale), exact."""
+    num, den = Fraction(r).as_integer_ratio()
+    return 2 * num * scale // den
+
+
+def _inside(keys: np.ndarray, scale: int, r) -> np.ndarray:
+    """Cross membership (kappa, beta) <= r of the rows whose _cross_keys are keys.
+
+    (kappa, 2 lo) <= 2 r with both sides scaled: key <= floor(2 r scale),
+    one exact comparison per row at any radius.
+    """
+    return keys <= _top_key(r, scale)
+
+
+def _radius_index(keys: np.ndarray, scale: int) -> np.ndarray:
+    """Smallest integer s whose cross holds each row: ceil(key / (2 scale)), as int64."""
+    return (-(-keys // (2 * scale))).astype(np.int64, copy=False)
+
+
+def _cross_args(beta: Sequence[float], r) -> tuple[float, ...]:
+    """beta as floats, after checking that beta is positive and finite and r finite."""
+    beta = tuple(float(b) for b in beta)
+    if not all(0.0 < b < math.inf for b in beta):
+        raise ValueError(f"cross weights must be positive and finite, got {beta}")
+    if not math.isfinite(r):
+        raise ValueError(f"cross radius must be finite, got {r}")
+    return beta
 
 
 def cross_contains(kappa: Sequence[int], beta: Sequence[float], r: float) -> bool:
@@ -140,8 +168,8 @@ def cross_contains(kappa: Sequence[int], beta: Sequence[float], r: float) -> boo
         raise ValueError(f"kappa has length {len(kappa)} but beta has length {len(beta)}")
     if min(kappa) < 0:
         raise ValueError(f"multi-level entries must be >= 0, got {tuple(kappa)}")
-    row = np.array([kappa], dtype=np.int64)
-    return bool(_inside(row, row @ np.asarray(beta, dtype=float), beta, r)[0])
+    weights, scale = _band_weights(_cross_args(beta, r))
+    return sum(int(k) * w for k, w in zip(kappa, weights)) <= _top_key(r, scale)
 
 
 def _cross_box(beta: Sequence[float], r: float) -> tuple[int, ...]:
@@ -150,16 +178,13 @@ def _cross_box(beta: Sequence[float], r: float) -> tuple[int, ...]:
 
 
 def enum_cross(beta: Sequence[float], r: float) -> list[tuple[int, ...]]:
-    """All kappa with (kappa, beta) <= r, lexicographic; beta strictly positive."""
-    beta = tuple(float(b) for b in beta)
-    if any(b <= 0 for b in beta):
-        raise ValueError(f"cross weights must be positive, got {beta}")
+    """All kappa with (kappa, beta) <= r, lexicographic; beta positive and finite, r finite."""
+    beta = _cross_args(beta, r)
     if r < 0:
         return []
     bound = _cross_box(beta, r)
-    box = enum_box(bound)
-    lattice = _lattice(bound)
-    return list(itertools.compress(box, _inside(lattice, lattice @ np.asarray(beta), beta, r)))
+    keys, scale = _cross_keys(bound, beta)
+    return list(itertools.compress(enum_box(bound), _inside(keys, scale, r)))
 
 
 def enum_shell(beta: Sequence[float], s: int) -> list[tuple[int, ...]]:
@@ -171,10 +196,11 @@ def enum_shell(beta: Sequence[float], s: int) -> list[tuple[int, ...]]:
 
 
 def _lattice(bound: Sequence[int]) -> np.ndarray:
-    """Integer lattice of the box [0, bound] as an (N, d) array."""
-    axes = [np.arange(b + 1) for b in bound]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    """Integer lattice of the box [0, bound] as an (N, d) array, rows in lexicographic order.
+
+    A transposed view of np.indices: one (d, N) block, no second copy.
+    """
+    return np.indices([b + 1 for b in bound]).reshape(len(bound), -1).T
 
 
 def _cross_tail(walpha: np.ndarray, outside: np.ndarray, alpha: Sequence[float],
@@ -201,8 +227,9 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     2^-(kappa, alpha) over (kappa, beta) > r next to 2^(-mr) r^(c-1), where
     M/m are the extreme entries of alpha/beta and C/c their multiplicities.
 
-    Memory: one integer lattice over the box enum_cross scans at r_max and
-    one membership mask (_inside) per radius.  The tail adds the terms
+    Memory: one integer lattice over the box enum_cross scans at r_max, its
+    exact keys (_cross_keys), built once, and one membership mask per
+    radius, a comparison of the keys (_inside).  The tail adds the terms
     beyond that box in closed form (_cross_tail), so it is not truncated.
     """
     beta = tuple(float(b) for b in beta)
@@ -223,12 +250,11 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
 
     # one lattice over the largest cross's box covers every r
     bound = _cross_box(beta, r_max)
-    lattice = _lattice(bound)
-    wbeta = lattice @ np.asarray(beta)
-    walpha = lattice @ np.asarray(alpha)
+    walpha = _lattice(bound) @ np.asarray(alpha)
+    keys, scale = _cross_keys(bound, beta)
     rows = []
     for r in range(1, r_max + 1):
-        inside = _inside(lattice, wbeta, beta, r)
+        inside = _inside(keys, scale, r)
         grow = float(np.sum(np.exp2(walpha[inside])))
         grow_model = float(2.0 ** (big * r) * r ** (big_mult - 1))
         tail = _cross_tail(walpha, ~inside, alpha, bound)

@@ -72,6 +72,16 @@ def _order_vec(value, d: int) -> tuple[int, ...]:
     return out
 
 
+def _check_resolution(level: int, order: int) -> None:
+    """Reject a level too coarse for the difference order: no whole-cell step fits.
+
+    With 2^level <= order every modulus would be 0 for any function.
+    """
+    if 2 ** level <= order:
+        raise ValueError(f"K={level} is too coarse for difference order {order}: "
+                         f"need 2^K > {order}")
+
+
 def _axis_difference(values: np.ndarray, grid: Grid, axis: int, order: int,
                      shift: int, buf: np.ndarray) -> np.ndarray:
     """Finite difference along one axis with a positive whole-cell step, on its valid slab only.
@@ -308,7 +318,8 @@ def modulus_table(f: GridFunction, l, p: float, axes=None) -> ModulusTable:
 
     The modulus at t is the largest norm of the differences along the axes
     J (all of them by default) with the orders l, over every whole-cell
-    step h_j <= t_j.
+    step h_j <= t_j.  A grid with 2^K <= l_j on an axis of J raises
+    ValueError: no whole-cell step fits there, so every modulus would be 0.
 
     The nested differences run in the order of decreasing l_j, the
     order-0 (identity) axes outermost and, among equal orders, the higher
@@ -377,6 +388,7 @@ def modulus_table(f: GridFunction, l, p: float, axes=None) -> ModulusTable:
     grid = f.grid
     J = _resolve_axes(axes, grid.d)
     lv = _order_vec(l, grid.d)
+    _check_resolution(grid.level, max(lv[j] for j in J))
     cells = grid.cells_per_axis
     # outermost first: identity axes, then decreasing order, higher axis first on ties
     nest = tuple(sorted(J, key=lambda a: (lv[a] != 0, -lv[a], -a)))
@@ -416,11 +428,13 @@ def besov_seminorm(f: GridFunction, params: SmoothnessParams) -> float:
     theta = inf takes the sup of 2^(m, alpha) * modulus over the dyadic
     scale grid; finite theta sums modulus^theta against the exact block
     integrals of the scale weight, evaluated in log space so huge theta
-    stays finite.
+    stays finite.  Every axis enters some subset, so a grid with 2^K <=
+    max(l) raises ValueError (see modulus_table).
     """
     grid = f.grid
     if len(params.alpha) != grid.d:
         raise ValueError(f"params dimension {len(params.alpha)} != grid d={grid.d}")
+    _check_resolution(grid.level, max(params.l))
     best = 0.0
     for r in range(1, grid.d + 1):
         for J in itertools.combinations(range(grid.d), r):

@@ -27,9 +27,11 @@ from .basis import detail_dim
 from .grid import GridFunction, lp_norm
 from .indexing import (
     _cross_box,
+    _cross_keys,
     _cross_tail,
     _inside,
     _lattice,
+    _radius_index,
     cross_contains,
     enum_cross,
     min_multiplicity,
@@ -178,14 +180,16 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     min(floor(c0 2^e) + 1, c0 2^cells) with e = r - gamma j - gamma_prime
     (kappa, beta) summed over the non-minimal slots.
 
-    Cost: one integer lattice over the box of the outer cross at r + j0,
-    one membership mask (indexing._inside) over it, then array work on the
-    M rows of the outer cross: one mask at r, and one mask per radius
-    r..r+j0 over the rows nearest that radius for the shell index.  The
+    Cost: over the N rows of the box of the outer cross at r + j0, one
+    exact integer key per row (indexing._cross_keys) and one radius index,
+    the smallest integer s whose cross holds the row; a row is in the cross
+    at an integer s iff its index is <= s.  Two comparisons of the index
+    restrict the box lattice to the M rows of the outer cross and split off
+    the inner cross at r, and the index minus r is the shell number.  The
     Python-int budget expression runs once per distinct (e, cells) pair,
-    not once per block.  Peak memory: below three outer-box lattices, the
-    (N, d) int64 array over the box (2.3 measured at r = 8, beta = (1,1,1),
-    where building the lattice and its weights w peak).
+    not once per block.  Peak memory: below two outer-box lattices, the
+    (N, d) int64 array over the box (1.64 measured at r = 8, beta =
+    (1,1,1): the lattice, the keys and the radius index).
     """
     r = int(r)
     if r < 1:
@@ -225,25 +229,18 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     gamma_prime = min(gamma, 2.0 * epsilon) / 2.0
     c0 = math.prod(params.l)
     j0 = math.floor(r / (3.0 * gamma))
-    # one lattice over the outer box, restricted once to the outer cross
-    lattice = _lattice(_cross_box(beta, r + j0))
-    w = lattice @ np.asarray(beta)
-    keep = _inside(lattice, w, beta, r + j0)
-    lattice, w = lattice[keep], w[keep]
+    # one radius index over the outer box: a row lies in the cross at an
+    # integer s iff its index is <= s, so the outer cross, the inner cross
+    # and the shell numbers all come from it
+    bound = _cross_box(beta, r + j0)
+    radius = _radius_index(*_cross_keys(bound, beta))
+    keep = radius <= r + j0
+    lattice, radius = _lattice(bound)[keep], radius[keep]
     cells_log2 = _cells_log2(lattice)
-    inner = _inside(lattice, w, beta, r)
+    inner = radius <= r
     cross_dim = _dim_sum(c0, cells_log2[inner])
-    rows, w, cells_log2 = lattice[~inner], w[~inner], cells_log2[~inner]
-    # shell index: (kappa, lo) lies within 1 of the nearest integer s to w,
-    # so the block is in the shell at s if it is inside the cross at s, else
-    # in the one at s + 1; w rounds (kappa, lo), which lies in (r, r + j0],
-    # so r <= s <= r + j0
-    nearest = np.rint(w).astype(np.int64)
-    at_nearest = np.zeros(len(rows), dtype=bool)
-    for s in range(r, r + j0 + 1):
-        near = np.flatnonzero(nearest == s)
-        at_nearest[near] = _inside(rows[near], w[near], beta, s)
-    shell = nearest - r + ~at_nearest
+    rows, cells_log2 = lattice[~inner], cells_log2[~inner]
+    shell = radius[~inner] - r
     off = np.zeros(len(rows))
     for i in others:
         off = off + rows[:, i] * beta[i]
@@ -359,19 +356,20 @@ def _lattice_errors(params: SmoothnessParams, beta, r_values) -> list[tuple[floa
     The profile's blocks are orthogonal with L_2 norms 2^-(kappa, alpha), so
     the squared error is the sum of 4^-(kappa, alpha) = 2^-(kappa, 2 alpha)
     outside the cross (indexing._cross_tail).  Memory: one integer lattice
-    over the box enum_cross scans at the largest radius, and one membership
-    mask per radius.
+    over the box enum_cross scans at the largest radius, its exact keys
+    (indexing._cross_keys), built once, and one membership mask per radius,
+    a comparison of the keys against that radius.
     """
     bound = _cross_box(beta, r_values[-1])
     lattice = _lattice(bound)
-    w = lattice @ np.asarray(beta)
+    keys, scale = _cross_keys(bound, beta)
     rates = tuple(2.0 * a for a in params.alpha)
     walpha = lattice @ np.asarray(rates)
     cells_log2 = _cells_log2(lattice)
     c0 = math.prod(params.l)
     out = []
     for r in r_values:
-        inside = _inside(lattice, w, beta, r)
+        inside = _inside(keys, scale, r)
         err = math.sqrt(_cross_tail(walpha, ~inside, rates, bound))
         out.append((err, _dim_sum(c0, cells_log2[inside])))
     return out

@@ -76,8 +76,7 @@ def test_enum_cross_matches_rational_oracle(beta, r):
     + [((0.4,), 2), ((1.0, 0.4, 1.4142135623730951), 2.5), ((1.0, 0.4, 1.4142135623730951), 7)],
 )
 def test_enum_cross_decides_a_band_dense_radius_exactly(beta, r):
-    # every row on the radius lies inside the rounding band, so the exact
-    # integer comparison decides all of them at once
+    # many rows lie on the radius, ties that only exact arithmetic decides
     assert enum_cross(beta, r) == cross_enum_fractions([rounding_floor(b) for b in beta], r)
 
 
@@ -267,6 +266,97 @@ def test_band_weight_cache_keeps_inputs_apart(order):
         assert got["by_rows"] == want
         if got["by_growth"] is not None:
             assert got["by_growth"] == sum(2.0 ** sum(kappa) for kappa in want)
+
+
+@pytest.mark.parametrize("beta, r", [
+    ((1.0, 1.0), math.nan),
+    ((1.0, 1.0), math.inf),
+    ((1.0, 1.0), -math.inf),
+    ((1.0, -1.0), 3),
+    ((1.0, 0.0), 3),
+    ((1.0, math.inf), 3),
+    ((1.0, math.nan), 3),
+], ids=["r-nan", "r-inf", "r-minus-inf", "beta-negative", "beta-zero", "beta-inf", "beta-nan"])
+def test_cross_membership_rejects_invalid_radius_or_weights(beta, r):
+    # a nan radius used to read False, a negative weight True, and an
+    # infinite radius raised OverflowError from enum_cross
+    with pytest.raises(ValueError, match="finite"):
+        cross_contains((1, 2), beta, r)
+    with pytest.raises(ValueError, match="finite"):
+        enum_cross(beta, r)
+
+
+def _twice_lo_sums(beta, rows):
+    """(kappa, 2 lo) of each row, in Fractions."""
+    twice_lo = [2 * rounding_floor(b) for b in beta]
+    return [sum(k * t for k, t in zip(row, twice_lo)) for row in rows]
+
+
+def _keys_agree_with_fractions(beta, bound, radii):
+    """Keys of the box rows: membership and radius index against Fraction arithmetic."""
+    keys, scale = polymra.indexing._cross_keys(bound, beta)
+    lattice = polymra.indexing._lattice(bound)
+    sums = _twice_lo_sums(beta, lattice.tolist())
+    for r in radii:
+        inside = polymra.indexing._inside(keys, scale, r)
+        assert inside.tolist() == [s <= 2 * Fraction(r) for s in sums]
+    # the smallest integer s with (kappa, 2 lo) <= 2 s
+    radius = polymra.indexing._radius_index(keys, scale)
+    assert radius.tolist() == [math.ceil(s / 2) for s in sums]
+    return keys, lattice
+
+
+_WEIGHTS = st.one_of(
+    st.floats(min_value=2.0 ** -4, max_value=2.0 ** 4),
+    st.sampled_from([0.1, 0.4, 1.0, 1.4142135623730951, 3.0, 0.7, 2.0 / 3.0]),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.tuples(_WEIGHTS, st.integers(0, 5)), min_size=1, max_size=3),
+    st.data(),
+)
+def test_cross_keys_match_fraction_arithmetic(axes, data):
+    beta = tuple(b for b, _ in axes)
+    bound = tuple(n for _, n in axes)
+    rows = polymra.indexing._lattice(bound).tolist()
+    # exact ties: the half key sum of drawn rows, as a Fraction and rounded to
+    # a float; then integer radii and non-integer floats
+    drawn = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+    tied = [s / 2 for s in _twice_lo_sums(beta, drawn)]
+    radii = tied + [float(t) for t in tied]
+    radii += data.draw(st.lists(st.integers(0, 40), max_size=3))
+    radii += data.draw(st.lists(st.floats(0.0, 40.0), max_size=3))
+    _keys_agree_with_fractions(beta, bound, radii)
+    some = rows[:: max(1, len(rows) // 8)]
+    for row, twice in zip(some, _twice_lo_sums(beta, some)):
+        for r in radii:
+            assert cross_contains(row, beta, r) == (twice <= 2 * Fraction(r))
+
+
+def test_keys_past_int64_take_python_ints_and_agree():
+    # the scale of (1.0, 0.01) is 2^59, so the weight of 1.0 is about 2^60:
+    # the corner key of the big box passes 2^63 and its keys are Python
+    # ints, while the small box stays int64
+    beta = (1.0, 0.01)
+    big, small = (12, 40), (6, 40)
+    radii = [0, 1, 3.5, 6, 7, 9, 12.25]
+    big_keys, big_rows = _keys_agree_with_fractions(beta, big, radii)
+    small_keys, small_rows = _keys_agree_with_fractions(beta, small, radii)
+    assert big_keys.dtype == object and max(big_keys) >= 2 ** 63
+    assert small_keys.dtype == np.int64
+    # the small box is the leading rows of the big one: same keys, same answers
+    at = len(small_rows)
+    assert (big_rows[:at] == small_rows).all()
+    assert big_keys[:at].tolist() == small_keys.tolist()
+    scale = polymra.indexing._band_weights(beta)[1]
+    for r in radii:
+        assert (polymra.indexing._inside(big_keys, scale, r)[:at]
+                == polymra.indexing._inside(small_keys, scale, r)).all()
+    # enum_cross at 9 scans a box past 2^63 too
+    assert enum_cross(beta, 9) == cross_enum_fractions([rounding_floor(b) for b in beta], 9)
+    assert cross_contains((9, 0), beta, 9) and not cross_contains((9, 1), beta, 9)
 
 
 def test_cross_contains_rejects_negative_levels():

@@ -469,6 +469,21 @@ class TestBesovSeminorm:
         with pytest.raises(ValueError):
             besov_seminorm(g.zeros(), SmoothnessParams((1.0, 1.0)))
 
+    def test_grid_too_coarse_for_the_order_is_rejected(self):
+        # alpha (0.5, 1.0) gives orders (1, 2); K = 1 has 2 cells, so no
+        # step of order 2 fits on axis 1 and its modulus would be 0
+        g = grid_for(2, degree=(1, 1), level=1)
+        f = g.sample(lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y))
+        message = "K=1 is too coarse for difference order 2: need 2\\^K > 2"
+        with pytest.raises(ValueError, match=message):
+            besov_seminorm(f, SmoothnessParams((0.5, 1.0)))
+        with pytest.raises(ValueError, match=message):
+            modulus_table(f, (1, 2), 2.0, axes=(1,))
+        with pytest.raises(ValueError, match=message):
+            modulus_table(f, (1, 2), 2.0)
+        # the order-1 axis alone still fits one whole-cell step
+        assert modulus_table(f, (1, 2), 2.0, axes=(0,)).values[0] > 0.0
+
 
 class TestDecayCheck:
     def test_single_block_localizes(self):
