@@ -135,27 +135,47 @@ def maximal_function(f: GridFunction) -> GridFunction:
     every kept prefix sum is the same chain of additions as without the
     split.
 
-    Cost: n^d sorts of (2C-1)^d n^d entries, plus gathers and running sums
-    over about N (C+B-1)^d n^d entries for the N nodes in the worst case,
-    where nothing is pruned.  How much of the tail is pruned depends on
-    the data: a tile loses it all once each centre's sup before the tail
-    reaches S / ball there, and keeps it all while some centre has seen
-    no mass.
+    The grid memoizes its last sweep: grid.basis_tables["maximal_function"]
+    holds (w |f|, values) for as long as the Grid object lives, one entry
+    per grid, replaced by the next input that differs.  A call whose w |f|
+    equals the stored one (np.array_equal) skips the sweep.  The sweep
+    reads nothing but the grid and w |f|, so a hit has the bits of a fresh
+    sweep.  NaN never compares equal, so an input holding one is swept on
+    every call.  Every call returns a fresh array, so a caller may write
+    to its result without touching the memo.
+
+    Cost of a sweep: n^d sorts of (2C-1)^d n^d entries, plus gathers and
+    running sums over about N (C+B-1)^d n^d entries for the N nodes in the
+    worst case, where nothing is pruned.  How much of the tail is pruned
+    depends on the data: a tile loses it all once each centre's sup before
+    the tail reaches S / ball there, and keeps it all while some centre
+    has seen no mass.  A memo hit costs O(N): w |f|, one comparison and
+    one copy.
     Memory in floats: the padded copy, two floats for each of the
     (3C-2)^d n^d padded nodes; about eight arrays of the table length
     (2C-1)^d n^d; and per tile at most three times _TILE_FLOATS = 2^17
     entries in gathers and running sums over (centres, kept offsets), the
-    bound that picks B.
+    bound that picks B.  Between calls the memo keeps two grid-sized
+    arrays per grid, w |f| and the values.
     """
     grid = f.grid
-    d = grid.d
-    if d > 2:
+    if grid.d > 2:
         raise NotImplementedError("maximal function is implemented for d <= 2 only")
+    wf = _node_weights(grid) * np.abs(f.values)
+    memo = grid.basis_tables.get("maximal_function")
+    if memo is None or not np.array_equal(memo[0], wf):
+        memo = (wf, _maximal_sweep(grid, wf))
+        grid.basis_tables["maximal_function"] = memo
+    return GridFunction(grid, memo[1].copy())
+
+
+def _maximal_sweep(grid: Grid, wf: np.ndarray) -> np.ndarray:
+    """Values of the maximal function of the node masses wf = w |f|, shaped like the grid."""
+    d = grid.d
     cells = grid.cells_per_axis
     nodes = grid.nodes_per_cell
     r_min = math.sqrt(d) * 2.0 ** -grid.level
     w = _node_weights(grid)
-    wf = w * np.abs(f.values)
     # W and S: with u = 2^-53, a float running sum of nonnegative terms is
     # at most (1 + u)^L times their exact sum, L the number of terms, and a
     # table row has L < 2^d N <= 4 N.  A float total of the N terms, in any
@@ -228,16 +248,28 @@ def maximal_function(f: GridFunction) -> GridFunction:
             at = tuple(slice(lo_j * n + aj, (lo_j + side) * n, n)
                        for lo_j, n, aj in zip(lo, nodes, a))
             out[at] = sup.reshape((side,) * d)
-    return GridFunction(grid, out)
+    return out
+
+
+def _check_threshold(alpha: float) -> None:
+    # a NaN compares false both ways, so it would read as a height above
+    # every value ({h > alpha} empty) and below every value (no cell kept)
+    if math.isnan(alpha):
+        raise ValueError(f"alpha must not be NaN, got {alpha}")
 
 
 def level_set_measure(h: GridFunction, alpha: float) -> float:
-    """Quadrature measure of the strict superlevel set {h > alpha}."""
+    """Quadrature measure of the strict superlevel set {h > alpha}; a NaN alpha raises."""
+    _check_threshold(alpha)
     return float(_node_weights(h.grid)[h.values > alpha].sum())
 
 
 def sublevel_cellset(h: GridFunction, alpha: float) -> CellSet:
-    """Cells of the finest mesh on which h <= alpha at every node, as a closed set."""
+    """Cells of the finest mesh on which h <= alpha at every node, as a closed set.
+
+    A NaN alpha raises; +-inf compare as usual.
+    """
+    _check_threshold(alpha)
     grid = h.grid
     cells = grid.cells_per_axis
     shape = []
@@ -423,7 +455,9 @@ def cz_constants(f: GridFunction, alpha: float) -> dict:
 
     Ratios are normalized so the classical statements read bound <= constant:
     weak (1,1) level-set measure, complement measure, sup and squared L_2
-    size of the good part, and the largest cube average of |f|.
+    size of the good part, and the largest cube average of |f|.  It reaches
+    maximal_function twice, once here and once in cz_split, yet runs one
+    sweep: the second call on the same f is a hit of the grid's memo.
     """
     _check_height(alpha)
     Mf = maximal_function(f)

@@ -44,8 +44,10 @@ def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
 class Grid:
     """Tensor Gauss grid over the level-K dyadic partition of the unit cube."""
 
-    # basis_tables: per-axis tables built from the nodes, memoized by their
-    # builders (projectors._scaling_block keys them (axis, level, degree))
+    # basis_tables: per-grid memos kept by their builders: per-axis tables
+    # built from the nodes (projectors._scaling_block keys them (axis, level,
+    # degree)) and the last maximal-function sweep (czd.maximal_function
+    # keys it "maximal_function")
     __slots__ = ("d", "level", "nodes_per_cell", "axis_nodes", "axis_weights", "basis_tables")
 
     def __init__(self, d: int, level: int, nodes_per_cell):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymra import czd
+from polymra.cli import main
 from polymra.czd import (
     CellSet,
     cz_constants,
@@ -176,6 +177,96 @@ class TestMaximalFunction:
         assert worst <= 1.5
 
 
+def _count_sweeps(monkeypatch):
+    """Grids of the sweeps maximal_function runs from here on, in call order."""
+    grids = []
+    sweep = czd._maximal_sweep
+
+    def counted(grid, wf):
+        grids.append(grid)
+        return sweep(grid, wf)
+
+    monkeypatch.setattr(czd, "_maximal_sweep", counted)
+    return grids
+
+
+class TestMaximalFunctionMemo:
+    @pytest.mark.parametrize("argv", [
+        # the benchmark's czd argv
+        ["--d", "2", "--demo", "bump", "--alpha", "0.5", "--K", "4"],
+        ["--d", "1", "--demo", "step", "--alpha", "1.0", "--K", "5"],
+    ], ids=["bench", "step"])
+    def test_one_sweep_per_czd_run(self, monkeypatch, capsys, argv):
+        # cz_split, then cz_constants: three maximal_function calls on one input
+        sweeps = _count_sweeps(monkeypatch)
+        assert main(["czd", *argv]) == 0
+        assert len(sweeps) == 1
+
+    def test_hit_has_the_bits_of_a_fresh_sweep(self, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch)
+        f = _MF_INPUTS["wedge"](grid_for(2, degree=0, level=3))
+        first = maximal_function(f)
+        hit = maximal_function(f)
+        assert len(sweeps) == 1 and hit.values is not first.values
+        fresh = maximal_function(_MF_INPUTS["wedge"](grid_for(2, degree=0, level=3)))
+        assert len(sweeps) == 2
+        assert np.array_equal(hit.values, fresh.values)
+        assert np.array_equal(hit.values, maximal_function_brute(f))
+
+    def test_values_changed_in_place_are_swept_again(self, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch)
+        f = _MF_INPUTS["random"](grid_for(1, degree=0, level=4))
+        maximal_function(f)
+        f.values[7] *= 3.0
+        M = maximal_function(f)
+        assert len(sweeps) == 2
+        assert np.array_equal(M.values, maximal_function_brute(f))
+
+    def test_writing_to_a_result_leaves_the_memo(self, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch)
+        f = _MF_INPUTS["bump"](grid_for(1, degree=0, level=4))
+        maximal_function(f).values[:] = -1.0
+        M = maximal_function(f)
+        assert len(sweeps) == 1
+        assert np.array_equal(M.values, maximal_function_brute(f))
+
+    def test_nan_input_is_swept_on_every_call(self, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch)
+        grid = grid_for(2, degree=0, level=2)
+        values = np.random.default_rng(11).standard_normal(grid.shape)
+        values.flat[5] = math.nan
+        f = grid.function(values)
+        for calls in (1, 2, 3):
+            M = maximal_function(f)
+            assert len(sweeps) == calls
+            # a NaN mass reaches every ball's running sum, so every node is NaN
+            assert np.isnan(M.values).all()
+            assert np.array_equal(M.values, maximal_function_brute(f), equal_nan=True)
+
+    def test_grids_of_one_shape_keep_their_own_entry(self, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch)
+        grids = [grid_for(1, degree=0, level=3) for _ in range(2)]
+        for grid in grids:
+            maximal_function(_MF_INPUTS["step"](grid))
+        assert sweeps == grids
+        first, second = (grid.basis_tables["maximal_function"] for grid in grids)
+        assert first is not second
+
+    def test_memo_keeps_two_grid_sized_arrays(self):
+        grid = grid_for(2, degree=0, level=5)
+        inputs = [_MF_INPUTS[name](grid) for name in ("bump", "random")]
+        array = math.prod(grid.shape) * 8
+        tracemalloc.start()
+        try:
+            for f in inputs:
+                maximal_function(f)
+                # w |f| and the values; the second input replaces the first one's
+                alive = tracemalloc.take_snapshot().traces
+                assert sum(trace.size >= array for trace in alive) == 2
+        finally:
+            tracemalloc.stop()
+
+
 class TestSublevelSet:
     def test_linear_function_cells(self):
         g = grid_for(1, degree=0)
@@ -190,6 +281,24 @@ class TestSublevelSet:
         f = g.sample(lambda x: x)
         assert level_set_measure(f, 0.5) == pytest.approx(0.5, abs=0.02)
         assert level_set_measure(f, 2.0) == 0.0
+
+    def test_nan_threshold_rejected(self):
+        # a NaN alpha used to give measure 0 and an empty F: every cell bad
+        h = grid_for(1, degree=0, level=3).sample(lambda x: x)
+        with pytest.raises(ValueError, match="NaN"):
+            level_set_measure(h, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            sublevel_cellset(h, math.nan)
+
+    def test_infinite_and_nonpositive_thresholds_keep_their_meaning(self):
+        h = grid_for(1, degree=0, level=3).sample(lambda x: x)
+        total = level_set_measure(h, -math.inf)
+        assert total == pytest.approx(1.0, abs=1e-15)
+        assert level_set_measure(h, 0.0) == total and level_set_measure(h, -1.0) == total
+        assert level_set_measure(h, math.inf) == 0.0
+        assert sublevel_cellset(h, math.inf).mask.all()
+        for alpha in (-math.inf, -1.0, 0.0):
+            assert not sublevel_cellset(h, alpha).mask.any()
 
 
 class TestWhitney:
