@@ -198,9 +198,16 @@ def enum_shell(beta: Sequence[float], s: int) -> list[tuple[int, ...]]:
 def _lattice(bound: Sequence[int]) -> np.ndarray:
     """Integer lattice of the box [0, bound] as an (N, d) array, rows in lexicographic order.
 
-    A transposed view of np.indices: one (d, N) block, no second copy.
+    C-contiguous, so products such as lattice @ alpha run on rows, and built
+    in one allocation: each axis's arange is written into a broadcast view
+    of the (N, d) array, no second copy.
     """
-    return np.indices([b + 1 for b in bound]).reshape(len(bound), -1).T
+    shape = tuple(int(b) + 1 for b in bound)
+    d = len(shape)
+    out = np.empty(shape + (d,), dtype=int)
+    for j, n in enumerate(shape):
+        out[..., j] = np.arange(n).reshape((n,) + (1,) * (d - 1 - j))
+    return out.reshape(-1, d)
 
 
 def _cross_tail(walpha: np.ndarray, outside: np.ndarray, alpha: Sequence[float],

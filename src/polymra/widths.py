@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -155,9 +156,9 @@ class BudgetPlan:
     total: int
 
 
-def _cells_log2(lattice: np.ndarray) -> np.ndarray:
-    """log2 of the cell count of each block kappa (a row of lattice)."""
-    return np.maximum(lattice - 1, 0).sum(axis=1)
+def _cells_log2(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """log2 of the cell count of each block kappa, given one coordinate array per axis."""
+    return sum(np.maximum(x - 1, 0) for x in axes)
 
 
 def _dim_sum(c0: int, cells_log2: np.ndarray) -> int:
@@ -181,15 +182,18 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     (kappa, beta) summed over the non-minimal slots.
 
     Cost: over the N rows of the box of the outer cross at r + j0, one
-    exact integer key per row (indexing._cross_keys) and one radius index,
-    the smallest integer s whose cross holds the row; a row is in the cross
-    at an integer s iff its index is <= s.  Two comparisons of the index
-    restrict the box lattice to the M rows of the outer cross and split off
-    the inner cross at r, and the index minus r is the shell number.  The
-    Python-int budget expression runs once per distinct (e, cells) pair,
-    not once per block.  Peak memory: below two outer-box lattices, the
-    (N, d) int64 array over the box (1.64 measured at r = 8, beta =
-    (1,1,1): the lattice, the keys and the radius index).
+    exact integer key per row (indexing._cross_keys) and one comparison of
+    the keys, which keeps the M rows of the outer cross as flat box
+    indices.  No lattice of the box is built: the flat indices unravel into
+    one coordinate array per axis, and each kept row gets its radius index,
+    the smallest integer s whose cross holds it; a second comparison of the
+    index splits off the inner cross at r, and the index minus r is the
+    shell number.  The rows are grouped by one exact int64 key packed from
+    the shell, the non-minimal coordinates and the cell count, which fix e
+    and the cap; the Python-int budget expression runs once per group, not
+    once per block.  Peak memory: the keys over the box, then arrays over
+    the M rows, below one (N, d) int64 outer-box lattice (0.81 measured at
+    r = 8, beta = (1,1,1)).
     """
     r = int(r)
     if r < 1:
@@ -229,27 +233,37 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     gamma_prime = min(gamma, 2.0 * epsilon) / 2.0
     c0 = math.prod(params.l)
     j0 = math.floor(r / (3.0 * gamma))
-    # one radius index over the outer box: a row lies in the cross at an
-    # integer s iff its index is <= s, so the outer cross, the inner cross
-    # and the shell numbers all come from it
+    # the rows of the outer cross as flat box indices, one coordinate array
+    # per axis; a row lies in the cross at an integer s iff its radius index
+    # is <= s, so the inner cross and the shell numbers come from the index
     bound = _cross_box(beta, r + j0)
-    radius = _radius_index(*_cross_keys(bound, beta))
-    keep = radius <= r + j0
-    lattice, radius = _lattice(bound)[keep], radius[keep]
-    cells_log2 = _cells_log2(lattice)
+    keys, scale = _cross_keys(bound, beta)
+    flat = np.flatnonzero(_inside(keys, scale, r + j0))
+    radius = _radius_index(keys[flat], scale)
+    del keys  # the only box-sized array: every later one has M rows
+    axes = np.unravel_index(flat, [b + 1 for b in bound])
+    cells_log2 = _cells_log2(axes)
     inner = radius <= r
     cross_dim = _dim_sum(c0, cells_log2[inner])
-    rows, cells_log2 = lattice[~inner], cells_log2[~inner]
-    shell = radius[~inner] - r
-    off = np.zeros(len(rows))
-    for i in others:
-        off = off + rows[:, i] * beta[i]
+    outer = ~inner
+    axes = [x[outer] for x in axes]
+    shell, cells_log2 = radius[outer] - r, cells_log2[outer]
+    # e depends on the shell and the non-minimal coordinates only: group the
+    # rows by one exact key packed from them and the cell count in mixed
+    # radix.  A minimal slot spans r + j0 + 1 > j0 values, so the key stays
+    # below (box rows) * (sum(bound) + 1); ravel_multi_index refuses any
+    # radix whose product passes int64, so the key never wraps
+    radix = [j0 + 1, *(bound[i] + 1 for i in others), sum(bound) + 1]
+    key = np.ravel_multi_index([shell, *(axes[i] for i in others), cells_log2], radix)
+    packed, where, count = np.unique(key, return_inverse=True, return_counts=True)
+    shell, *coords, cells_log2 = np.unravel_index(packed, radix)
+    # e in the float operations and order of the per-block formula, once per group
+    off = np.zeros(len(shell))
+    for i, x in zip(others, coords):
+        off = off + x * beta[i]
     expo = r - gamma * shell - gamma_prime * off
-    # complex keys sort by (e, cells) in one 1-D unique
-    pairs, where, count = np.unique(expo + 1j * cells_log2, return_inverse=True,
-                                    return_counts=True)
-    budgets = [min(math.floor(c0 * 2.0 ** e) + 1, c0 << int(cells))
-               for e, cells in zip(pairs.real.tolist(), pairs.imag.tolist())]
+    budgets = [min(math.floor(c0 * 2.0 ** e) + 1, c0 << c)
+               for e, c in zip(expo.tolist(), cells_log2.tolist())]
     return BudgetPlan(
         r=r,
         j0=j0,
@@ -258,7 +272,7 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
         epsilon=epsilon,
         c0=c0,
         cross_dim=cross_dim,
-        rows=rows,
+        rows=np.stack(axes, axis=1),
         budgets=np.array(budgets, dtype=object)[where],
         total=cross_dim + sum(n * b for n, b in zip(count.tolist(), budgets)),
     )
@@ -365,7 +379,7 @@ def _lattice_errors(params: SmoothnessParams, beta, r_values) -> list[tuple[floa
     keys, scale = _cross_keys(bound, beta)
     rates = tuple(2.0 * a for a in params.alpha)
     walpha = lattice @ np.asarray(rates)
-    cells_log2 = _cells_log2(lattice)
+    cells_log2 = _cells_log2(lattice.T)
     c0 = math.prod(params.l)
     out = []
     for r in r_values:

@@ -292,6 +292,15 @@ def _twice_lo_sums(beta, rows):
     return [sum(k * t for k, t in zip(row, twice_lo)) for row in rows]
 
 
+@pytest.mark.parametrize("bound", [(0,), (6,), (3, 0), (4, 2), (2, 3, 1), (1, 2, 0, 3)])
+def test_lattice_is_c_contiguous_with_the_rows_of_np_indices(bound):
+    lattice = polymra.indexing._lattice(bound)
+    rows = np.indices([b + 1 for b in bound]).reshape(len(bound), -1).T
+    assert lattice.flags.c_contiguous
+    assert lattice.dtype == rows.dtype
+    assert lattice.tolist() == rows.tolist()
+
+
 def _keys_agree_with_fractions(beta, bound, radii):
     """Keys of the box rows: membership and radius index against Fraction arithmetic."""
     keys, scale = polymra.indexing._cross_keys(bound, beta)
