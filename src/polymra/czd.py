@@ -35,7 +35,7 @@ __all__ = [
 
 # entries per tile array of maximal_function: centres times kept offsets
 _TILE_FLOATS = 2 ** 17
-# entries per integer temporary of _scaled_dist2: boxes times cells times d
+# entries per integer chunk of _gap_field's pair pass: lines times cells times cells
 _DIST_ENTRIES = 2 ** 17
 
 
@@ -306,26 +306,73 @@ class WhitneyDecomposition:
         return 2 * self.boundary_cells * Fraction(1, 2 ** self.resolution)
 
 
+def _gap_field(cells: np.ndarray, side: int) -> np.ndarray:
+    """D(x) = min over marked cells c of sum_j max(|x_j - c_j| - 1, 0)^2, for every mesh cell x.
+
+    cells: (n, d) marked cell indices, n >= 1, on the mesh of side cells per
+    axis.  The last axis takes each row's nearest marked cell from a running
+    max and min of the marked indices; every other axis takes the min over
+    all (cell, cell) pairs of its lines, in chunks of at most _DIST_ENTRIES
+    integers.  A row with no marked cell holds d (2 side + 1)^2 until a
+    later axis reaches a marked one; every final value is below d side^2.
+    """
+    d = cells.shape[1]
+    mask = np.zeros((side,) * d, dtype=bool)
+    mask[tuple(cells.T)] = True
+    at = np.arange(side)
+    # -2 side and 3 side stand in for a missing marked cell on either side:
+    # they put near at 2 side or more, a marked cell of the row below side
+    left = np.maximum.accumulate(np.where(mask, at, -2 * side), axis=-1)
+    right = np.minimum.accumulate(np.where(mask, at, 3 * side)[..., ::-1], axis=-1)[..., ::-1]
+    near = np.minimum(at - left, right - at)
+    gap = np.maximum(near - 1, 0)
+    field = np.where(near < side, gap * gap, d * (2 * side + 1) ** 2)
+    # step[y, x]: the squared gap between cells y and x of one axis
+    step = np.maximum(np.abs(at[:, None] - at) - 1, 0) ** 2
+    cols = min(side, max(_DIST_ENTRIES // side, 1))
+    rows = max(_DIST_ENTRIES // (side * cols), 1)
+    for axis in range(d - 1):
+        moved = np.moveaxis(field, axis, -1)
+        lines = moved.reshape(-1, side)
+        out = np.empty_like(lines)
+        for r in range(0, len(lines), rows):
+            for c in range(0, side, cols):
+                # one expression, so the previous chunk is freed before the next one
+                out[r:r + rows, c:c + cols] = (lines[r:r + rows, :, None]
+                                               + step[:, c:c + cols]).min(axis=1)
+        field = np.moveaxis(out.reshape(moved.shape), -1, axis)
+    return field
+
+
 def _scaled_dist2(lo: np.ndarray, hi: np.ndarray, cells: np.ndarray,
                   side: int, surround: bool) -> np.ndarray:
     """Squared distance, in units of the finest cell width, from boxes to the cell set.
 
-    lo, hi: (m, d) integer corners at scale 2^-K; cells: (n, d) marked cell
-    indices.  Exact integer arithmetic throughout, over runs of boxes whose
-    (boxes, n, d) temporaries hold at most max(_DIST_ENTRIES, n d) integers.
+    lo, hi: (m, d) integer corners at scale 2^-K, with side = 2^K cells per
+    axis; cells: (n, d) marked cell indices.  Precondition: the boxes are
+    equal dyadic cubes, each aligned to its own side s (hi - lo = s in
+    every coordinate, lo divisible by s, s a power of two up to side).
+
+    Per axis the gap from a box to cell c is the least gap over the box's
+    cells x, max(|x - c| - 1, 0), so a cube's squared distance is the min
+    over its cells of the gap field D of _gap_field.  The field is built
+    from cells, min-pooled once to side s, and read at lo // s; no
+    (box, cell) pair is formed.  Exact int64 arithmetic throughout.  Cost
+    O(N C) for the N = side^d cells of the mesh and C = side; memory a few
+    integer arrays and masks the size of the mesh, the field among them,
+    and one chunk of at most _DIST_ENTRIES integers.
     """
     best = None
     if surround:
         ext = np.minimum(lo, side - hi).min(axis=1)
         best = ext * ext
     if len(cells):
-        d2 = np.empty(len(lo), dtype=np.int64)
-        rows = max(_DIST_ENTRIES // cells.size, 1)
-        for at in range(0, len(lo), rows):
-            run = slice(at, at + rows)
-            gap = np.maximum(np.maximum(cells - hi[run, None, :],
-                                        lo[run, None, :] - cells - 1), 0)
-            d2[run] = (gap * gap).sum(axis=2).min(axis=1)
+        d = cells.shape[1]
+        s = int(hi[0, 0] - lo[0, 0]) if len(lo) else side
+        field = _gap_field(cells, side)
+        pooled = field.reshape([n for _ in range(d) for n in (side // s, s)])
+        pooled = pooled.min(axis=tuple(range(1, 2 * d, 2)))
+        d2 = pooled[tuple((lo // s).T)]
         best = d2 if best is None else np.minimum(best, d2)
     if best is None:
         raise ValueError("empty closed set: distances are undefined")
@@ -343,8 +390,12 @@ def whitney(F: CellSet, *, surround: bool = True) -> WhitneyDecomposition:
     each satisfies diam Q < dist(Q, F) <= 4 diam Q up to one cell width.
 
     Dyadic cubes nest, so a cube has an accepted ancestor exactly when its
-    first finest cell is covered.  Memory: a few boolean masks of the mesh
-    plus the bounded temporaries of _scaled_dist2.
+    first finest cell is covered.  Distances come from _scaled_dist2, once
+    for the boundary cells and once per level: at most K + 2 calls of
+    O(N C) each, for the N cells of the mesh and C = 2^K per axis.  Memory:
+    a few integer arrays and boolean masks the size of the mesh, the gap
+    field among them, and one chunk of at most _DIST_ENTRIES = 2^17
+    integers.
 
     surround=True treats everything outside the unit cube as part of F,
     which keeps the complement's measure finite; with surround=False an

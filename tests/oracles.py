@@ -316,6 +316,31 @@ def whitney_brute(mask, surround=True):
     return k0, accepted
 
 
+def box_dist2_pairs(lo, hi, cells, side, surround):
+    """Squared box-to-cell-set distances in finest cell widths, every (box, cell) pair formed.
+
+    lo, hi: (m, d) integer box corners at scale 2^-K, side = 2^K; cells:
+    (n, d) marked cell indices.  Boxes may be any size or position.  Runs
+    of boxes keep each (boxes, n, d) temporary near 2^17 integers.
+    """
+    best = None
+    if surround:
+        ext = np.minimum(lo, side - hi).min(axis=1)
+        best = ext * ext
+    if len(cells):
+        d2 = np.empty(len(lo), dtype=np.int64)
+        step = max(2 ** 17 // cells.size, 1)
+        for at in range(0, len(lo), step):
+            run = slice(at, at + step)
+            gap = np.maximum(np.maximum(cells - hi[run, None, :],
+                                        lo[run, None, :] - cells - 1), 0)
+            d2[run] = (gap * gap).sum(axis=2).min(axis=1)
+        best = d2 if best is None else np.minimum(best, d2)
+    if best is None:
+        raise ValueError("empty closed set: distances are undefined")
+    return best
+
+
 def ball_average_brute(f, node, radius):
     """Quadrature average of |f| over one Euclidean ball, straight loops."""
     grid = f.grid

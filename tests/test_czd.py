@@ -23,7 +23,7 @@ from polymra.czd import (
 from polymra.grid import grid_for
 from polymra.indexing import DyadicCube
 
-from oracles import ball_average_brute, maximal_function_brute, whitney_brute
+from oracles import ball_average_brute, box_dist2_pairs, maximal_function_brute, whitney_brute
 
 
 def _spike(grid, floor=0.0):
@@ -51,6 +51,41 @@ _MF_INPUTS = {
 # tile counts (2^17 budget): one up to d=1 K=7; several at d=1 K=8, d=2 K=3
 # degree 1 and d=2 K=4
 _MF_GRIDS = [(1, K) for K in (0, 1, 5, 7, 8)] + [(2, K) for K in (0, 1, 3, 4)]
+
+
+# closed sets of the distance check; rng draws the random ones
+_DIST_MASKS = {
+    "empty": lambda shape, rng: np.zeros(shape, dtype=bool),
+    "full": lambda shape, rng: np.ones(shape, dtype=bool),
+    "one cell": lambda shape, rng: np.arange(math.prod(shape)).reshape(shape)
+                                   == math.prod(shape) // 3,
+    # a line along the last axis and one along the first: each axis pass alone
+    "one row": lambda shape, rng: _line(shape, -1),
+    "one column": lambda shape, rng: _line(shape, 0),
+    "checkerboard": lambda shape, rng: np.indices(shape).sum(axis=0) % 2 == 0,
+    "sparse random": lambda shape, rng: rng.random(shape) < 0.05,
+    "dense random": lambda shape, rng: rng.random(shape) < 0.6,
+}
+_DIST_GRIDS = [(d, K) for d in (1, 2) for K in range(7)] + [(3, K) for K in range(4)]
+
+
+def _line(shape, axis):
+    m = np.zeros(shape, dtype=bool)
+    at = [n // 3 for n in shape]
+    at[axis] = slice(None)
+    m[tuple(at)] = True
+    return m
+
+
+def _distance_queries(m):
+    """(lo, hi) of the unit cells off m, then of every level's aligned cubes."""
+    d, side = m.ndim, m.shape[0]
+    w = np.argwhere(~m).astype(np.int64)
+    yield w, w + 1
+    for k in range(side.bit_length()):
+        scale = side // 2 ** k
+        lo = np.indices((2 ** k,) * d).reshape(d, -1).T.astype(np.int64) * scale
+        yield lo, lo + scale
 
 
 def _whitney_invariants(F, dec):
@@ -374,8 +409,38 @@ class TestWhitney:
         assert full.base_level is None and full.cubes == []
         assert full.residual_measure == 0
 
+    @pytest.mark.parametrize("mask", list(_DIST_MASKS))
+    @pytest.mark.parametrize("d,K", _DIST_GRIDS)
+    def test_distances_match_all_pairs_oracle(self, d, K, mask):
+        side = 2 ** K
+        m = _DIST_MASKS[mask]((side,) * d, np.random.default_rng(7 * d + K))
+        cells = np.argwhere(m).astype(np.int64)
+        for surround in (True, False):
+            for lo, hi in _distance_queries(m):
+                if not surround and not len(cells):
+                    with pytest.raises(ValueError):
+                        czd._scaled_dist2(lo, hi, cells, side, surround)
+                    continue
+                got = czd._scaled_dist2(lo, hi, cells, side, surround)
+                want = box_dist2_pairs(lo, hi, cells, side, surround)
+                assert got.dtype == np.int64 and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("budget", [0, 20, 100, 2 ** 40])
+    def test_distance_chunks_leave_the_result(self, monkeypatch, budget):
+        # budget 0 and 20 split every line into column chunks, 100 takes
+        # whole lines one or a few at a time, 2^40 one chunk per axis pass
+        monkeypatch.setattr(czd, "_DIST_ENTRIES", budget)
+        for d, K in ((2, 4), (3, 3)):
+            m = np.random.default_rng(K).random((2 ** K,) * d) < 0.3
+            cells = np.argwhere(m).astype(np.int64)
+            for lo, hi in _distance_queries(m):
+                np.testing.assert_array_equal(czd._scaled_dist2(lo, hi, cells, 2 ** K, False),
+                                              box_dist2_pairs(lo, hi, cells, 2 ** K, False))
+
     def test_distance_memory_is_bounded(self):
-        # all box-cell pairs at once, as (boxes, cells, d) integers, took 390 MB on this mask
+        # all box-cell pairs at once, as (boxes, cells, d) integers, took 390 MB on this
+        # mask, and runs of 2^17 of them 4.3 MB; the gap field peaks at 1.7 MB
         m = np.random.default_rng(0).random((64, 64)) < 0.5
         tracemalloc.start()
         try:
@@ -383,17 +448,17 @@ class TestWhitney:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20, peak / 2 ** 20
+        assert peak < 2.5 * 2 ** 20, peak / 2 ** 20
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from((1, 2)),
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from((1, 2, 3)),
            st.booleans(), st.data())
     def test_random_masks_match_oracle(self, bits, d, surround, data):
-        # d = 2 masks are sparse: denser ones leave no cube at K <= 4, and
-        # the oracle takes about 0.1 s per K = 4 mask
-        K = data.draw(st.integers(min_value=3, max_value=5 if d == 1 else 4))
+        # d >= 2 masks are sparse: denser ones leave no cube at K <= 4; the
+        # oracle takes about 0.1 s per mask at d = 2, K = 4, 0.3 s at d = 3, K = 3
+        K = data.draw(st.sampled_from({1: (3, 4, 5), 2: (3, 4), 3: (2, 3)}[d]))
         rng = np.random.default_rng(bits)
-        m = rng.random((2 ** K,) * d) < (0.15 if d == 1 else 0.05)
+        m = rng.random((2 ** K,) * d) < {1: 0.15, 2: 0.05, 3: 0.02}[d]
         if not surround and not m.any():
             m.flat[0] = True  # without the exterior an empty F has no base level
         F = CellSet(K, m)
