@@ -28,6 +28,14 @@ __all__ = [
 _DEFAULT_LEVEL = {1: 6, 2: 6, 3: 4}
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int through operator.index: numpy ints pass, a float raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
     """An int for every axis, or one int per axis; anything else raises ValueError."""
     try:

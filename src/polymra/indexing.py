@@ -32,9 +32,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from .grid import _as_int
 
 __all__ = [
     "DyadicCube",
@@ -210,6 +212,21 @@ def _lattice(bound: Sequence[int]) -> np.ndarray:
     return out.reshape(-1, d)
 
 
+def _cross_masks(beta: Sequence[float],
+                 radii: Sequence) -> tuple[tuple[int, ...], np.ndarray, Iterator[np.ndarray]]:
+    """(bound, lattice, masks): one keyed lattice for a sweep of cross radii.
+
+    bound is the corner of the box enum_cross scans at the largest radius
+    and lattice its _lattice; masks lazily yields the _inside mask of each
+    radius in turn over those rows, from exact keys built once, so one mask
+    is alive at a time.  beta must be positive and finite.
+    """
+    beta = _cross_args(beta, max(radii))
+    bound = _cross_box(beta, max(radii))
+    keys, scale = _cross_keys(bound, beta)
+    return bound, _lattice(bound), (_inside(keys, scale, r) for r in radii)
+
+
 def _cross_tail(walpha: np.ndarray, outside: np.ndarray, alpha: Sequence[float],
                 bound: Sequence[int]) -> float:
     """Sum of 2^-(kappa, alpha) over every kappa >= 0 outside a cross inside the box [0, bound].
@@ -234,10 +251,11 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     2^-(kappa, alpha) over (kappa, beta) > r next to 2^(-mr) r^(c-1), where
     M/m are the extreme entries of alpha/beta and C/c their multiplicities.
 
-    Memory: one integer lattice over the box enum_cross scans at r_max, its
-    exact keys (_cross_keys), built once, and one membership mask per
-    radius, a comparison of the keys (_inside).  The tail adds the terms
-    beyond that box in closed form (_cross_tail), so it is not truncated.
+    r_max is an integer (operator.index: a float raises ValueError).
+    Memory: one keyed lattice over the box enum_cross scans at r_max
+    (_cross_masks), built once, and one membership mask per radius, a
+    comparison of the exact keys.  The tail adds the terms beyond that box
+    in closed form (_cross_tail), so it is not truncated.
     """
     beta = tuple(float(b) for b in beta)
     alpha = tuple(float(a) for a in alpha)
@@ -251,17 +269,17 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     small_mult = min_multiplicity(ratio_vec)
     if big <= 0:
         raise ValueError("growth model needs a positive maximal exponent")
-    r_max = int(r_max)
+    r_max = _as_int(r_max, "r_max")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
 
     # one lattice over the largest cross's box covers every r
-    bound = _cross_box(beta, r_max)
-    walpha = _lattice(bound) @ np.asarray(alpha)
-    keys, scale = _cross_keys(bound, beta)
+    radii = range(1, r_max + 1)
+    bound, lattice, masks = _cross_masks(beta, radii)
+    walpha = lattice @ np.asarray(alpha)
+    del lattice
     rows = []
-    for r in range(1, r_max + 1):
-        inside = _inside(keys, scale, r)
+    for r, inside in zip(radii, masks):
         grow = float(np.sum(np.exp2(walpha[inside])))
         grow_model = float(2.0 ** (big * r) * r ** (big_mult - 1))
         tail = _cross_tail(walpha, ~inside, alpha, bound)

@@ -65,6 +65,11 @@ class SmoothnessParams:
         return tuple(int(math.floor(a)) + 1 for a in self.alpha)
 
 
+def _inverse_gap(p: float, q: float) -> float:
+    """(1/p - 1/q)_+, with 1/inf = 0: the smoothness an L_p to L_q embedding costs."""
+    return max(0.0, 1.0 / p - 1.0 / q)
+
+
 def _order_vec(value, d: int) -> tuple[int, ...]:
     out = _as_tuple(value, d, "difference orders")
     if any(v < 0 for v in out):
@@ -483,8 +488,7 @@ def decay_check(f: GridFunction, params: SmoothnessParams, q: float) -> dict:
     _check_q(q)
     degrees = tuple(lj - 1 for lj in params.l)
     dec = analyze(f, grid.level, degrees)
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    shift = max(0.0, 1.0 / params.p - inv_q)
+    shift = _inverse_gap(params.p, q)
     out = {}
     for kappa, gk in detail_components(dec):
         if all(k == 0 for k in kappa):

@@ -13,33 +13,37 @@ truncation error is the lattice sum of 4^-(kappa, alpha) over the
 complement of the cross (Parseval): width_experiment computes it on one
 integer lattice over the box enum_cross scans at the largest radius, with
 no grid.  Other exponents are measured on a grid, within its resolution.
+
+Cross membership has one rule here, the exact integer keys of indexing
+(_cross_keys, _inside), for the lattice and for the blocks of an analyzed
+function alike, and the cross dimension one formula (_cross_dims).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .basis import detail_dim
-from .grid import GridFunction, lp_norm
+from .grid import GridFunction, _as_int, lp_norm
 from .indexing import (
     _cross_box,
     _cross_keys,
+    _cross_masks,
     _cross_tail,
     _inside,
-    _lattice,
     _radius_index,
-    cross_contains,
-    enum_cross,
     min_multiplicity,
     minimal_slots,
 )
+# unused: perfbench/test_perfbench.py reads this binding (ROADMAP direction 5)
+from .indexing import cross_contains  # noqa: F401
 from .projectors import Decomposition, analyze, synthesize
-from .smoothness import SmoothnessParams, synthesize_extremal
+from .smoothness import SmoothnessParams, _check_q, _inverse_gap, synthesize_extremal
 
 __all__ = [
     "WidthExperimentConfig",
@@ -54,10 +58,6 @@ __all__ = [
 ]
 
 
-def _inv(q: float) -> float:
-    return 0.0 if math.isinf(q) else 1.0 / q
-
-
 def choose_beta(params: SmoothnessParams, q: float) -> tuple[float, ...]:
     """Cross weights: 1 on the slots of minimal smoothness, midpoints above.
 
@@ -67,7 +67,7 @@ def choose_beta(params: SmoothnessParams, q: float) -> tuple[float, ...]:
     the midpoint makes the choice deterministic.
     """
     alpha = params.alpha
-    s = max(0.0, _inv(params.p) - _inv(q))
+    s = _inverse_gap(params.p, q)
     shifted = tuple(a - s for a in alpha)
     m = min(shifted)
     if m <= 0.0:
@@ -86,8 +86,11 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
     The error is measured within the resolution of f's grid, with detail
     blocks of the given per-axis degrees; the dimension counts the whole
     cross subspace with no resolution cap, so it can exceed what the grid
-    resolves.  Cost: one analysis of f, then the per-radius work of
-    _truncate on its coefficients.
+    resolves.  r is real (an integer or a dyadic number such as 2.5) and q
+    is checked before any work (q >= 1, inf allowed).  Both the dropped
+    blocks (_truncate) and the dimension (_cross_dims) come from the exact
+    cross keys.  Cost: one analysis of f, then the work of _truncate on its
+    coefficients.
     """
     grid = f.grid
     beta = tuple(float(b) for b in beta)
@@ -95,28 +98,30 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
         raise ValueError(f"beta must have length {grid.d}, got {beta}")
     if r < 1:
         raise ValueError(f"cross radius must be >= 1, got {r}")
+    _check_q(q)
     degrees = tuple(int(x) for x in degrees)
-    return _truncate(analyze(f, grid.level, degrees), beta, r, q)
+    _, lattice, masks = _cross_masks(beta, (r,))
+    ((_, n),) = _cross_dims(math.prod(l + 1 for l in degrees), lattice, masks)
+    return _truncate(analyze(f, grid.level, degrees), beta, r, q), n
 
 
-def _truncate(dec: Decomposition, beta: tuple[float, ...], r, q: float) -> tuple[float, int]:
-    """truncation_error on an analyzed function: (L_q error, cross dimension).
+def _truncate(dec: Decomposition, beta: tuple[float, ...], r, q: float) -> float:
+    """L_q error of dropping the blocks of an analyzed function outside the cross.
 
-    At q = 2 the error is the root sum of the dropped blocks' coefficient
-    energies (Parseval); at any other q the dropped blocks are synthesized
+    dec holds the full level box in enum_box order, as analyze fills it,
+    which is the row order of _cross_keys over that box: one _inside mask
+    picks the dropped blocks.  At q = 2 the error is the root sum of their
+    coefficient energies (Parseval); at any other q they are synthesized
     once and their sum measured by quadrature.
     """
-    n = sum(detail_dim(kappa, dec.degrees) for kappa in enum_cross(beta, r))
-    dropped = {
-        kappa: blk for kappa, blk in dec.blocks.items() if not cross_contains(kappa, beta, r)
-    }
+    keys, scale = _cross_keys((dec.grid.level,) * dec.grid.d, beta)
+    dropped = dict(itertools.compress(dec.blocks.items(), ~_inside(keys, scale, r)))
     if not dropped:
-        return 0.0, n
+        return 0.0
     if q == 2.0:
-        err = math.sqrt(sum(blk.l2_norm() ** 2 for blk in dropped.values()))
-        return err, n
+        return math.sqrt(sum(blk.l2_norm() ** 2 for blk in dropped.values()))
     tail = synthesize(Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=dropped))
-    return lp_norm(tail, q), n
+    return lp_norm(tail, q)
 
 
 def tail_model(params: SmoothnessParams, q: float, r) -> float:
@@ -125,12 +130,12 @@ def tail_model(params: SmoothnessParams, q: float, r) -> float:
     p = params.p
     c = min_multiplicity(alpha)
     if p <= q:
-        rate = min(a - (_inv(p) - _inv(q)) for a in alpha)
+        rate = min(a - _inverse_gap(p, q) for a in alpha)
         star = min(2.0, q)
     else:
         rate = min(alpha)
         star = min(2.0, p)
-    log_power = (c - 1) * max(0.0, 1.0 / star - _inv(params.theta))
+    log_power = (c - 1) * _inverse_gap(star, params.theta)
     return 2.0 ** (-rate * float(r)) * float(r) ** log_power
 
 
@@ -169,6 +174,17 @@ def _dim_sum(c0: int, cells_log2: np.ndarray) -> int:
     return sum(n * (c0 << c) for c, n in enumerate(np.bincount(cells_log2).tolist()))
 
 
+def _cross_dims(c0: int, lattice: np.ndarray, masks):
+    """(mask, cross dimension) per mask of _cross_masks, c0 functions per cell.
+
+    The one formula for the cross dimension: _dim_sum over the cell
+    exponents of the lattice rows inside, the exponents taken once.
+    """
+    cells_log2 = _cells_log2(lattice.T)
+    for inside in masks:
+        yield inside, _dim_sum(c0, cells_log2[inside])
+
+
 def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     """Block budgets n_kappa over the shells r < (kappa, beta) <= r + j0.
 
@@ -195,7 +211,7 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     the M rows, below one (N, d) int64 outer-box lattice (0.81 measured at
     r = 8, beta = (1,1,1)).
     """
-    r = int(r)
+    r = _as_int(r, "cross radius")
     if r < 1:
         raise ValueError(f"cross radius must be >= 1, got {r}")
     alpha = params.alpha
@@ -206,7 +222,7 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
         raise ValueError(f"beta must have length {d}, got {beta}")
     if not q >= max(2.0, p):
         raise ValueError(f"budget case needs q >= max(2, p), got q={q} with p={p}")
-    cut = _inv(p) + max(0.0, 0.5 - _inv(p))
+    cut = 1.0 / p + max(0.0, 0.5 - 1.0 / p)
     base = tuple(a - cut for a in alpha)
     mu = min(base)
     if mu <= 0.0:
@@ -224,8 +240,8 @@ def budget_plan(r, beta, params: SmoothnessParams, q: float) -> BudgetPlan:
     if margins and min(margins) <= 0.0:
         raise ValueError("beta leaves no budget margin: base smoothness over beta hit the minimum")
     epsilon = min(margins) / 2.0 if margins else mu
-    m_narrow = min(a - max(0.0, _inv(p) - _inv(q)) for a in alpha)
-    m_wide = min(a - max(0.0, _inv(p) - 0.5) for a in alpha)
+    m_narrow = min(a - _inverse_gap(p, q) for a in alpha)
+    m_wide = min(a - _inverse_gap(p, 2.0) for a in alpha)
     caps = [1.0 / 3.0, 2.0 * mu]
     if min_multiplicity((m_narrow, m_wide)) == 1:  # m_wide > m_narrow, not a tie
         caps.append(m_narrow / (3.0 * (m_wide - m_narrow)))
@@ -283,9 +299,9 @@ def width_model_exponents(params: SmoothnessParams, q: float) -> tuple[float, fl
     alpha = params.alpha
     p = params.p
     c = min_multiplicity(alpha)
-    rate = min(a - max(0.0, _inv(p) - _inv(q)) for a in alpha)
+    rate = min(a - _inverse_gap(p, q) for a in alpha)
     blend = min(2.0, max(p, q))
-    log_power = (rate + max(0.0, 1.0 / blend - _inv(params.theta))) * (c - 1)
+    log_power = (rate + _inverse_gap(blend, params.theta)) * (c - 1)
     return rate, log_power
 
 
@@ -305,14 +321,15 @@ class WidthExperimentConfig:
             raise ValueError(f"level must be >= 1, got {self.level}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        rs = tuple(int(r) for r in self.r_values)
+        _check_q(self.q)
+        rs = tuple(_as_int(r, "r_values") for r in self.r_values)
         if not rs or rs[0] < 1 or list(rs) != sorted(set(rs)):
             raise ValueError(f"r_values must be increasing positive ints, got {self.r_values}")
         object.__setattr__(self, "r_values", rs)
 
     def condition_margin(self) -> float:
         """min(alpha) - (1/p - 1/q)_+; the rate model applies iff positive."""
-        return min(self.params.alpha) - max(0.0, _inv(self.params.p) - _inv(self.q))
+        return min(self.params.alpha) - _inverse_gap(self.params.p, self.q)
 
     def digest(self) -> str:
         key = (
@@ -332,10 +349,13 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
     """Truncation errors of extremal-profile functions across cross radii.
 
     Rows carry the config digest, the radius, the exact cross dimension, the
-    error, the model width value and their ratio.  With p = q = 2 the error
-    is the exact lattice sum of the profile's dropped block energies
-    (_lattice_errors): it does not depend on the grid level, the seed or the
-    trials, and no grid is built.  Other exponents report the
+    error, the model width value and their ratio.  One keyed lattice over
+    the box enum_cross scans at the largest radius (indexing._cross_masks)
+    is built per call; each radius's membership mask gives its dimension
+    (_cross_dims) once, whatever the trials.  With p = q = 2 the error is
+    the exact lattice sum of the profile's dropped block energies on that
+    lattice (_lattice_errors): it does not depend on the grid level, the
+    seed or the trials, and no grid is built.  Other exponents report the
     within-resolution error of seeded random profiles on the grid, averaged
     over the trials (_grid_errors).
     """
@@ -344,12 +364,15 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
         raise ValueError("width model needs min(alpha) > (1/p - 1/q)_+")
     beta = choose_beta(params, config.q)
     power, log_power = width_model_exponents(params, config.q)
+    bound, lattice, masks = _cross_masks(beta, config.r_values)
     if params.p == 2.0 and config.q == 2.0:
-        measured = _lattice_errors(params, beta, config.r_values)
+        measure = _lattice_errors(params, bound, lattice)
     else:
-        measured = _grid_errors(config, beta)
+        measure = _grid_errors(config, beta)
+    dims = _cross_dims(math.prod(params.l), lattice, masks)
     rows = []
-    for r, (err, n) in zip(config.r_values, measured):
+    for r, (inside, n) in zip(config.r_values, dims):
+        err = measure(r, inside)
         model = float(n) ** -power * math.log(float(n)) ** log_power
         rows.append(
             {
@@ -364,36 +387,24 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
     return rows
 
 
-def _lattice_errors(params: SmoothnessParams, beta, r_values) -> list[tuple[float, int]]:
-    """(L_2 error, cross dimension) per radius of the extremal profile at p = 2.
+def _lattice_errors(params: SmoothnessParams, bound, lattice: np.ndarray):
+    """(r, inside) -> L_2 error of the extremal profile at p = 2, on the keyed lattice.
 
     The profile's blocks are orthogonal with L_2 norms 2^-(kappa, alpha), so
     the squared error is the sum of 4^-(kappa, alpha) = 2^-(kappa, 2 alpha)
-    outside the cross (indexing._cross_tail).  Memory: one integer lattice
-    over the box enum_cross scans at the largest radius, its exact keys
-    (indexing._cross_keys), built once, and one membership mask per radius,
-    a comparison of the keys against that radius.
+    over the rows outside the cross plus the part beyond the box
+    (indexing._cross_tail); (kappa, 2 alpha) is taken once per lattice row.
     """
-    bound = _cross_box(beta, r_values[-1])
-    lattice = _lattice(bound)
-    keys, scale = _cross_keys(bound, beta)
     rates = tuple(2.0 * a for a in params.alpha)
     walpha = lattice @ np.asarray(rates)
-    cells_log2 = _cells_log2(lattice.T)
-    c0 = math.prod(params.l)
-    out = []
-    for r in r_values:
-        inside = _inside(keys, scale, r)
-        err = math.sqrt(_cross_tail(walpha, ~inside, rates, bound))
-        out.append((err, _dim_sum(c0, cells_log2[inside])))
-    return out
+    return lambda r, inside: math.sqrt(_cross_tail(walpha, ~inside, rates, bound))
 
 
-def _grid_errors(config: WidthExperimentConfig, beta) -> list[tuple[float, int]]:
-    """(mean L_q error, cross dimension) per radius, measured on the grid.
+def _grid_errors(config: WidthExperimentConfig, beta):
+    """(r, inside) -> mean L_q error over the trials, measured on the grid.
 
-    Each trial's profile is synthesized at the config level, analyzed once,
-    and every radius truncates the same coefficients (_truncate).
+    Each trial's profile is synthesized at the config level and analyzed
+    once, here; every radius truncates the same coefficients (_truncate).
     """
     params = config.params
     degrees = tuple(l - 1 for l in params.l)
@@ -401,15 +412,7 @@ def _grid_errors(config: WidthExperimentConfig, beta) -> list[tuple[float, int]]
         analyze(synthesize_extremal(params, config.level, config.seed + t), config.level, degrees)
         for t in range(config.trials)
     ]
-    out = []
-    for r in config.r_values:
-        errs = []
-        n = 0
-        for dec in profiles:
-            err, n = _truncate(dec, beta, r, config.q)
-            errs.append(err)
-        out.append((float(np.mean(errs)), n))
-    return out
+    return lambda r, inside: float(np.mean([_truncate(dec, beta, r, config.q) for dec in profiles]))
 
 
 def rate_fit(points) -> tuple[float, float]:

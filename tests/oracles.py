@@ -14,9 +14,9 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from polymra.basis import detail_dim
-from polymra.grid import GridFunction
-from polymra.indexing import enum_cross, enum_shell, minimal_slots
-from polymra.projectors import project_level
+from polymra.grid import GridFunction, lp_norm
+from polymra.indexing import cross_contains, enum_cross, enum_shell, minimal_slots
+from polymra.projectors import Decomposition, analyze, project_level, synthesize
 from polymra.quadrature import interval_basis_table
 
 
@@ -409,6 +409,28 @@ def cross_tail_sq_brute(alpha, beta, r, box=None):
             continue
         total += 4.0 ** -sum(k * a for k, a in zip(kappa, alpha))
     return total
+
+
+def truncation_error_per_block(f, beta, r, q, degrees):
+    """(L_q error, cross dimension) of a cross truncation, one block at a time.
+
+    Each block of f's analysis is tested on its own with cross_contains,
+    and the dimension sums detail_dim over enum_cross; widths takes both
+    from one keyed lattice.  The dropped blocks are summed (q = 2) or
+    synthesized (any other q) in the same order and float operations, so
+    the two routes agree bit for bit.
+    """
+    dec = analyze(f, f.grid.level, degrees)
+    dropped = {
+        kappa: blk for kappa, blk in dec.blocks.items() if not cross_contains(kappa, beta, r)
+    }
+    n = sum(detail_dim(kappa, degrees) for kappa in enum_cross(beta, r))
+    if not dropped:
+        return 0.0, n
+    if q == 2.0:
+        return math.sqrt(sum(blk.l2_norm() ** 2 for blk in dropped.values())), n
+    tail = synthesize(Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=dropped))
+    return lp_norm(tail, q), n
 
 
 def budget_allocation_brute(plan, beta, params):

@@ -222,8 +222,11 @@ class TestRejectedBeforeWork:
          "K=1 is too coarse for difference order 2: need 2^K > 2"),
         (["verify-projectors", "--d", "1", "--K", "2", "--trials", "0"],
          "trials must be >= 1, got 0"),
+        # no block is dropped at these radii, so only an up-front check sees q
+        (["widths", "--d", "1", "--alpha", "1", "--K", "3", "--q", "0.5", "--r", "8..11"],
+         "q must be >= 1, got 0.5"),
     ], ids=["smoothness-K-0", "smoothness-q-half", "lp-sweep-sign-trials-0",
-            "smoothness-K-below-order", "verify-projectors-trials-0"])
+            "smoothness-K-below-order", "verify-projectors-trials-0", "widths-q-half"])
     def test_exits_2_naming_the_value(self, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):
             raise AssertionError("work began before the check")

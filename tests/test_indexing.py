@@ -188,6 +188,13 @@ def test_counting_invalid():
         counting_ratios((1.0,), (1.0,), 0)
 
 
+def test_counting_radius_must_be_an_integer():
+    with pytest.raises(ValueError, match="r_max must be an integer, got 3.9"):
+        counting_ratios((1.0, 1.0), (1.0, 1.0), 3.9)
+    assert counting_ratios((1.0, 1.0), (1.0, 1.0), np.int64(3)) == counting_ratios(
+        (1.0, 1.0), (1.0, 1.0), 3)
+
+
 @pytest.mark.parametrize("beta, alpha", [
     ((1.0, math.inf), (1.0, 1.0)),
     ((1.0, math.nan), (1.0, 1.0)),

@@ -28,7 +28,7 @@ from polymra.widths import (
     width_model_exponents,
 )
 
-from oracles import budget_allocation_brute, cross_tail_sq_brute
+from oracles import budget_allocation_brute, cross_tail_sq_brute, truncation_error_per_block
 
 
 def params2(alpha=(1.0, 1.0), p=2.0, theta=2.0):
@@ -141,6 +141,32 @@ class TestTruncationError:
             truncation_error(f, (1.0,), 0, 2.0, degrees=(1,))
         with pytest.raises(ValueError, match="length"):
             truncation_error(f, (1.0, 1.0), 2, 2.0, degrees=(1,))
+
+    @pytest.mark.parametrize("q", [0.5, math.nan, -1.0])
+    def test_invalid_q_rejected_when_nothing_is_dropped(self, q):
+        # at r = 10 every block of the level-3 box lies in the cross
+        f = synthesize_extremal(params2(alpha=(1.0,)), 3, 0)
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            truncation_error(f, (1.0,), 10, q, degrees=(1,))
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("beta, radii, degrees, level", [
+        ((1.0,), (1, 2.5, 3), (1,), 4),
+        # exact ties: 5 * 0.4 <= 2 although float(0.4) > 2/5, and (2, 0)
+        ((1.0, 0.4), (2, 2.5), (0, 0), 5),
+        # a float dot product puts (1, 3) outside: 0.6 + 3 * 0.8 gives 3.0000000000000004
+        ((0.6, 0.8), (3,), (0, 0), 3),
+        # the key of (2, 1) equals the radius 3: 2 lo_0 + lo_1 = 3 exactly
+        ((1.0, math.nextafter(1.0, 2.0)), (3,), (1, 0), 3),
+        ((1.0, 1.5, 0.75), (2, 2.5), (0, 1, 0), 3),
+    ], ids=["d1", "d2-float-tie", "d2-float-sum-tie", "d2-key-tie", "d3"])
+    def test_matches_the_per_block_reference(self, beta, radii, degrees, level, q):
+        grid = grid_for(len(beta), degree=degrees, level=level)
+        f = GridFunction(grid, np.random.default_rng(len(beta)).standard_normal(grid.shape))
+        for r in radii:
+            got = truncation_error(f, beta, r, q, degrees)
+            assert got[0] > 0.0
+            assert got == truncation_error_per_block(f, beta, r, q, degrees)
 
 
 class TestTailModel:
@@ -255,6 +281,15 @@ class TestBudgetPlan:
             tracemalloc.stop()
         assert peak < lattice_bytes, peak / lattice_bytes
 
+    def test_radius_must_be_an_integer(self):
+        params = SmoothnessParams(alpha=(1.0, 1.0, 1.0))
+        beta = choose_beta(params, 2.0)
+        with pytest.raises(ValueError, match="cross radius must be an integer, got 8.7"):
+            budget_plan(8.7, beta, params, 2.0)
+        plan = budget_plan(np.int64(8), beta, params, 2.0)
+        assert type(plan.r) is int
+        assert plan.total == budget_plan(8, beta, params, 2.0).total
+
     def test_hypotheses_are_enforced(self):
         with pytest.raises(ValueError, match="q >= max"):
             budget_plan(6, (1.0, 1.0), params2(), 1.5)
@@ -356,6 +391,13 @@ class TestWidthExperiment:
         for row in rows:
             assert (row["error"], row["n"]) == truncation_error(f, beta, row["r"], 3.0, (1, 1))
 
+    def test_radii_must_be_integers(self):
+        with pytest.raises(ValueError, match="r_values must be an integer, got 3.5"):
+            WidthExperimentConfig(params=params2(), r_values=(3.5, 4.9, 6.2))
+        cfg = WidthExperimentConfig(params=params2(), r_values=tuple(np.arange(3, 6)))
+        assert cfg.r_values == (3, 4, 5)
+        assert all(type(r) is int for r in cfg.r_values)
+
     def test_digest_tracks_the_config(self):
         a = WidthExperimentConfig(params=params2(), level=4, r_values=(3, 4), seed=7)
         b = WidthExperimentConfig(params=params2(), level=4, r_values=(3, 4), seed=8)
@@ -373,6 +415,8 @@ class TestWidthExperiment:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="r_values"):
             WidthExperimentConfig(params=params2(), r_values=(4, 4, 5))
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            WidthExperimentConfig(params=params2(), q=0.5)
         with pytest.raises(ValueError, match="trials"):
             WidthExperimentConfig(params=params2(), trials=0)
         with pytest.raises(ValueError, match="level"):
@@ -407,8 +451,8 @@ class TestLatticeRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("the p = q = 2 route must not reach the grid")
 
-        for name in ("synthesize_extremal", "analyze", "synthesize", "enum_cross",
-                     "cross_contains"):
+        for name in ("synthesize_extremal", "analyze", "synthesize", "_grid_errors",
+                     "_truncate", "cross_contains"):
             monkeypatch.setattr(polymra.widths, name, refuse)
         params = params2(alpha=(1.0,) * 3)
         runs = [
