@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .grid import _as_int, _as_tuple
 from .quadrature import gauss_rule, interval_basis_table, legendre_table
 
 __all__ = [
@@ -96,12 +97,13 @@ def wavelet_basis_1d(degree: int) -> np.ndarray:
     all polynomials of degree <= l on (0,1), and together with the scaling
     polynomials span the two-cell piecewise polynomial space.
     """
+    degree = _as_int(degree, "degree")
     return _two_scale_matrix(degree)[:, degree + 1 :].copy()
 
 
 def detail_cells(kappa: Sequence[int]) -> tuple[int, ...]:
     """Cells per axis of the detail block at a multi-level: 2^max(kappa_j - 1, 0)."""
-    return tuple(2 ** max(int(k) - 1, 0) for k in kappa)
+    return tuple(2 ** max(k - 1, 0) for k in kappa)
 
 
 def detail_dim(kappa: Sequence[int], degrees: Sequence[int]) -> int:
@@ -110,10 +112,6 @@ def detail_dim(kappa: Sequence[int], degrees: Sequence[int]) -> int:
     The root count prod(l_j + 1) is the number of basis functions per cell,
     the detail dimension at kappa = 0.
     """
-    kappa = tuple(int(k) for k in kappa)
-    degs = tuple(int(l) for l in degrees)
-    if len(kappa) != len(degs):
-        raise ValueError("kappa and degrees must have the same length")
-    if any(k < 0 for k in kappa) or any(l < 0 for l in degs):
-        raise ValueError("kappa and degrees must be >= 0")
+    kappa = _as_tuple(kappa, len(kappa), "kappa")
+    degs = _as_tuple(degrees, len(kappa), "degrees")
     return math.prod(l + 1 for l in degs) * math.prod(detail_cells(kappa))

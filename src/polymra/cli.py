@@ -116,9 +116,23 @@ def _jsonable(value):
     return value
 
 
-def _emit(args, config: dict, rows: list[dict], summary: dict | None = None) -> None:
+def _per_axis(values: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """A per-axis vector: one value stands for every axis, else one value per axis."""
+    out = values if len(values) > 1 else values * d
+    if len(out) != d:
+        raise ValueError(f"degree vector {out} does not match d={d}")
+    return out
+
+
+# parser destinations that steer the output rather than the experiment
+_NOT_CONFIG = ("func", "format", "out", "update_baselines", "baselines")
+
+
+def _emit(args, rows: list[dict], summary: dict | None = None) -> None:
+    """Write the report; its config is every experiment option of args, tuples comma-joined."""
     summary = summary or {}
-    config = {k: _jsonable(v) for k, v in config.items()}
+    config = {k: _jsonable(",".join(map(_scalar, v)) if isinstance(v, tuple) else v)
+              for k, v in vars(args).items() if k not in _NOT_CONFIG}
     if args.format == "json":
         doc = {
             "version": __version__,
@@ -169,9 +183,7 @@ def _store_baselines(path: str, updates: dict) -> None:
 def _cmd_verify_projectors(args) -> int:
     if args.trials < 1:  # no trial would run a single check
         raise ValueError(f"trials must be >= 1, got {args.trials}")
-    degrees = args.l if len(args.l) > 1 else args.l * args.d
-    if len(degrees) != args.d:
-        raise ValueError(f"degree vector {degrees} does not match d={args.d}")
+    args.l = degrees = _per_axis(args.l, args.d)
     grid = grid_for(args.d, degree=degrees, level=args.K)
     k = (args.K,) * args.d
     rng = np.random.default_rng(args.seed)
@@ -203,14 +215,12 @@ def _cmd_verify_projectors(args) -> int:
         {"check": name, "max_error": err, "tolerance": tol, "status": "pass" if err <= tol else "fail"}
         for name, err in gaps.items()
     ]
-    config = {"command": "verify-projectors", "d": args.d, "l": ",".join(map(str, degrees)),
-              "K": args.K, "trials": args.trials, "seed": args.seed}
-    _emit(args, config, rows)
+    _emit(args, rows)
     return 0 if all(r["status"] == "pass" for r in rows) else 1
 
 
 def _cmd_lp_sweep(args) -> int:
-    degrees = args.degree if len(args.degree) > 1 else args.degree * args.d
+    args.degree = degrees = _per_axis(args.degree, args.d)
     grid = grid_for(args.d, degree=degrees, level=args.K)
     k = (args.K,) * args.d
     rows = []
@@ -221,10 +231,7 @@ def _cmd_lp_sweep(args) -> int:
         rows.extend(rep.rows())
         updates[f"lp_square_d{args.d}_p{p!r}"] = [rep.square_ratio["min"], rep.square_ratio["max"]]
         updates[f"pstar_d{args.d}_p{p!r}"] = rep.pstar["max"]
-    config = {"command": "lp-sweep", "d": args.d, "degree": ",".join(map(str, degrees)),
-              "K": args.K, "p": ",".join(repr(p) for p in args.p),
-              "trials": args.trials, "sign_trials": args.sign_trials, "seed": args.seed}
-    _emit(args, config, rows)
+    _emit(args, rows)
     if args.update_baselines:
         _store_baselines(args.baselines, updates)
     return 0
@@ -260,9 +267,7 @@ def _cmd_czd(args) -> int:
         "weak11": stats["weak11"],
         "good_sup": stats["good_sup"],
     }
-    config = {"command": "czd", "d": args.d, "demo": args.demo,
-              "alpha": args.alpha, "K": args.K}
-    _emit(args, config, rows, summary)
+    _emit(args, rows, summary)
     return 0
 
 
@@ -283,11 +288,7 @@ def _cmd_smoothness(args) -> int:
         for kappa in sorted(ratios)
     ]
     summary = {"seminorm": seminorm, "ratio_max": max(ratios.values())}
-    config = {"command": "smoothness", "d": args.d,
-              "alpha": ",".join(repr(a) for a in args.alpha),
-              "p": args.p, "theta": args.theta, "q": args.q,
-              "K": args.K, "seed": args.seed}
-    _emit(args, config, rows, summary)
+    _emit(args, rows, summary)
     return 0
 
 
@@ -315,25 +316,14 @@ def _cmd_widths(args) -> int:
     except ValueError as exc:
         # hypothesis failures are reported, never silently dropped
         summary["warning"] = f"budget skipped: {exc}"
-    config = {"command": "widths", "d": args.d,
-              "alpha": ",".join(repr(a) for a in args.alpha),
-              "p": args.p, "q": args.q, "theta": args.theta, "K": args.K,
-              "r": ",".join(map(str, args.r)), "trials": args.trials, "seed": args.seed}
-    _emit(args, config, rows, summary)
+    _emit(args, rows, summary)
     if args.update_baselines and "slope" in summary:
         _store_baselines(args.baselines, {f"width_slope_d{args.d}": summary["slope"]})
     return 0
 
 
 def _cmd_cross_count(args) -> int:
-    if len(args.beta) != len(args.alpha):
-        raise ValueError(f"beta {args.beta} and alpha {args.alpha} must have equal length")
-    rows = counting_ratios(args.beta, args.alpha, args.r_max)
-    config = {"command": "cross-count",
-              "beta": ",".join(repr(b) for b in args.beta),
-              "alpha": ",".join(repr(a) for a in args.alpha),
-              "r_max": args.r_max}
-    _emit(args, config, rows)
+    _emit(args, counting_ratios(args.beta, args.alpha, args.r_max))
     return 0
 
 

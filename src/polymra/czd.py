@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, _as_int
 from .indexing import DyadicCube
 
 __all__ = [
@@ -54,6 +54,7 @@ class CellSet:
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)
+        object.__setattr__(self, "resolution", _as_int(self.resolution, "resolution"))
         if self.resolution < 0:
             raise ValueError(f"resolution must be >= 0, got {self.resolution}")
         if mask.ndim < 1 or mask.shape != (2 ** self.resolution,) * mask.ndim:
@@ -75,7 +76,7 @@ class CellSet:
 
     def cubes(self) -> list[DyadicCube]:
         lev = (self.resolution,) * self.d
-        return [DyadicCube(lev, tuple(int(v) for v in nu)) for nu in np.argwhere(self.mask)]
+        return [DyadicCube(lev, nu) for nu in np.argwhere(self.mask)]
 
 
 def _node_weights(grid: Grid) -> np.ndarray:
@@ -431,7 +432,7 @@ def whitney(F: CellSet, *, surround: bool = True) -> WhitneyDecomposition:
                 continue
             dec.base_level = k
         accepted = good & ~covered[(slice(None, None, scale),) * d].ravel()
-        dec.cubes.extend(DyadicCube((k,) * d, tuple(map(int, nu))) for nu in nus[accepted])
+        dec.cubes.extend(DyadicCube((k,) * d, nu) for nu in nus[accepted])
         dists.append(np.sqrt(d2[accepted]) / side)
         # a view of the mesh with one (scale,) * d block per level-k cube
         view = covered.reshape([n for _ in range(d) for n in (2 ** k, scale)])

@@ -37,15 +37,18 @@ def _as_int(value, name: str) -> int:
 
 
 def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
-    """An int for every axis, or one int per axis; anything else raises ValueError."""
+    """A nonnegative int for every axis, or one per axis; anything else raises ValueError."""
     try:
         if np.isscalar(value):
-            return (operator.index(value),) * d
-        out = tuple(operator.index(v) for v in value)
+            out = (operator.index(value),) * d
+        else:
+            out = tuple(operator.index(v) for v in value)
     except TypeError:
         raise ValueError(f"{name} must be an integer or {d} integers, got {value!r}") from None
     if len(out) != d:
         raise ValueError(f"{name} must have length {d}, got {out}")
+    if any(v < 0 for v in out):
+        raise ValueError(f"{name} must be >= 0, got {out}")
     return out
 
 
@@ -54,15 +57,16 @@ class Grid:
 
     # basis_tables: per-grid memos kept by their builders: per-axis tables
     # built from the nodes (projectors._scaling_block keys them (axis, level,
-    # degree)) and the last maximal-function sweep (czd.maximal_function
-    # keys it "maximal_function")
+    # degree), projectors._wavelet_table ("wavelet", axis, level, degree))
+    # and the last maximal-function sweep (czd.maximal_function keys it
+    # "maximal_function")
     __slots__ = ("d", "level", "nodes_per_cell", "axis_nodes", "axis_weights", "basis_tables")
 
     def __init__(self, d: int, level: int, nodes_per_cell):
-        d = int(d)
+        d = _as_int(d, "dimension")
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
-        level = int(level)
+        level = _as_int(level, "finest level")
         if level < 0:
             raise ValueError(f"finest level must be >= 0, got {level}")
         self.d = d
@@ -146,10 +150,8 @@ def grid_for(d: int, degree=0, level: int | None = None, nodes_per_cell=None) ->
     basis polynomials, plus headroom for non-polynomial inputs); an explicit
     nodes_per_cell only ever raises the count.
     """
-    d = int(d)
+    d = _as_int(d, "dimension")
     degs = _as_tuple(degree, d, "degree")
-    if any(l < 0 for l in degs):
-        raise ValueError(f"degrees must be >= 0, got {degs}")
     if level is None:
         level = _DEFAULT_LEVEL.get(d, 4)
     base = tuple(2 * l + 2 for l in degs)

@@ -3,6 +3,10 @@
 Cube geometry uses exact dyadic rationals (integer position, power-of-two
 denominator), so edge comparisons never suffer float ties.
 
+Levels, positions, box corners, shell indices and r_max are read by
+grid._as_int / _as_tuple, never coerced: numpy ints pass, a float raises
+ValueError, and per-axis vectors must be nonnegative.
+
 Hyperbolic-cross membership (kappa, beta) <= r includes ties. The radius r
 is exact (an integer or a dyadic number such as 2.5); a float weight stands
 for every real that rounds to it. kappa is inside when (kappa, lo) <= r
@@ -36,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .grid import _as_int
+from .grid import _as_int, _as_tuple
 
 __all__ = [
     "DyadicCube",
@@ -67,18 +71,19 @@ def min_multiplicity(x: Sequence[float]) -> int:
 
 @dataclass(frozen=True)
 class DyadicCube:
-    """Open box 2^-level * pos + 2^-level * (0,1)^d with per-axis levels."""
+    """Open box 2^-level * pos + 2^-level * (0,1)^d with per-axis levels.
+
+    level and pos are read by grid._as_tuple: nonnegative integers (numpy
+    ints pass, a float raises ValueError), pos one per entry of level.
+    """
 
     level: tuple[int, ...]
     pos: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "level", tuple(int(k) for k in self.level))
-        object.__setattr__(self, "pos", tuple(int(v) for v in self.pos))
-        if len(self.level) != len(self.pos):
-            raise ValueError("level and position must have the same length")
-        if any(k < 0 for k in self.level):
-            raise ValueError(f"levels must be >= 0, got {self.level}")
+        d = len(self.level)
+        object.__setattr__(self, "level", _as_tuple(self.level, d, "level"))
+        object.__setattr__(self, "pos", _as_tuple(self.pos, d, "pos"))
 
     @property
     def d(self) -> int:
@@ -99,9 +104,8 @@ class DyadicCube:
 
 def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:
     """All multi-indices kappa <= k componentwise, in lexicographic order."""
-    if any(int(x) < 0 for x in k):
-        raise ValueError(f"box corner must be >= 0, got {tuple(k)}")
-    return list(itertools.product(*(range(int(x) + 1) for x in k)))
+    k = _as_tuple(k, len(k), "box corner")
+    return list(itertools.product(*(range(x + 1) for x in k)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -166,12 +170,10 @@ def _cross_args(beta: Sequence[float], r) -> tuple[float, ...]:
 
 def cross_contains(kappa: Sequence[int], beta: Sequence[float], r: float) -> bool:
     """Membership in the hyperbolic cross (kappa, beta) <= r, ties included; kappa >= 0."""
-    if len(kappa) != len(beta):
-        raise ValueError(f"kappa has length {len(kappa)} but beta has length {len(beta)}")
-    if min(kappa) < 0:
-        raise ValueError(f"multi-level entries must be >= 0, got {tuple(kappa)}")
-    weights, scale = _band_weights(_cross_args(beta, r))
-    return sum(int(k) * w for k, w in zip(kappa, weights)) <= _top_key(r, scale)
+    beta = _cross_args(beta, r)
+    kappa = _as_tuple(kappa, len(beta), "kappa")
+    weights, scale = _band_weights(beta)
+    return sum(k * w for k, w in zip(kappa, weights)) <= _top_key(r, scale)
 
 
 def _cross_box(beta: Sequence[float], r: float) -> tuple[int, ...]:
@@ -191,6 +193,7 @@ def enum_cross(beta: Sequence[float], r: float) -> list[tuple[int, ...]]:
 
 def enum_shell(beta: Sequence[float], s: int) -> list[tuple[int, ...]]:
     """All kappa with s-1 < (kappa, beta) <= s (same tie rule as enum_cross)."""
+    s = _as_int(s, "shell index")
     if s < 1:
         raise ValueError(f"shell index must be >= 1, got {s}")
     inner = set(enum_cross(beta, s - 1))
@@ -204,7 +207,7 @@ def _lattice(bound: Sequence[int]) -> np.ndarray:
     in one allocation: each axis's arange is written into a broadcast view
     of the (N, d) array, no second copy.
     """
-    shape = tuple(int(b) + 1 for b in bound)
+    shape = tuple(b + 1 for b in bound)
     d = len(shape)
     out = np.empty(shape + (d,), dtype=int)
     for j, n in enumerate(shape):
@@ -259,6 +262,8 @@ def counting_ratios(beta: Sequence[float], alpha: Sequence[float], r_max: int) -
     """
     beta = tuple(float(b) for b in beta)
     alpha = tuple(float(a) for a in alpha)
+    if len(beta) != len(alpha):
+        raise ValueError(f"beta {beta} and alpha {alpha} must have equal length")
     if not all(0 < v < math.inf for v in beta + alpha):
         raise ValueError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     ratio_vec = tuple(a / b for a, b in zip(alpha, beta))

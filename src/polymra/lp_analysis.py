@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, lp_norm
+from .grid import Grid, GridFunction, _as_int, _as_tuple, lp_norm
 from .projectors import (
     Decomposition,
     DetailCoeffs,
@@ -57,9 +57,8 @@ class SignFamily:
     axis_signs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "axis_signs", tuple(tuple(int(s) for s in row) for row in self.axis_signs)
-        )
+        object.__setattr__(self, "axis_signs", tuple(
+            tuple(_as_int(s, "signs") for s in row) for row in self.axis_signs))
         for row in self.axis_signs:
             if any(s not in (-1, 1) for s in row):
                 raise ValueError("signs must be +1 or -1")
@@ -76,10 +75,8 @@ class SignFamily:
 
     @classmethod
     def random(cls, k: Sequence[int], rng: np.random.Generator) -> "SignFamily":
-        rows = tuple(
-            tuple(int(s) for s in rng.choice((-1, 1), size=int(kj) + 1)) for kj in k
-        )
-        return cls(axis_signs=rows)
+        k = _as_tuple(k, len(k), "k")
+        return cls(axis_signs=tuple(rng.choice((-1, 1), size=kj + 1) for kj in k))
 
 
 def random_resolved(grid: Grid, k, degrees, rng: np.random.Generator) -> GridFunction:
@@ -94,11 +91,10 @@ def detail_components(dec: Decomposition) -> Iterator[tuple[tuple[int, ...], Gri
     A detail block is a tensor product of one-cell wavelet tables, so it is
     evaluated by d axis products, one per axis, with no pass through the
     synthesis pyramid. The per-axis tables, at most d (K + 1), are built once
-    per call and dropped with the generator.
+    per grid and kept with it (projectors._wavelet_table).
     """
-    tables: dict = {}
     for kappa, block in dec.blocks.items():
-        yield kappa, GridFunction(dec.grid, _detail_values(dec.grid, block, tables))
+        yield kappa, GridFunction(dec.grid, _detail_values(dec.grid, block))
 
 
 def _root_sum_squares(grid: Grid, parts: Iterable[GridFunction]) -> GridFunction:
@@ -288,13 +284,13 @@ def lp_report(
     norms are taken per p, so a sweep over m exponents costs one ensemble
     plus m times the norms. Reports come in the order of ps.
     """
-    from .grid import _as_tuple
-
     ps = tuple(_check_p_open(p) for p in ps)
     if not ps:
         raise ValueError("lp_report needs at least one p")
     k = _as_tuple(k, grid.d, "k")
     degs = _as_tuple(degrees, grid.d, "degrees")
+    trials = _as_int(trials, "trials")
+    sign_trials = _as_int(sign_trials, "sign_trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if sign_trials < 1:

@@ -108,29 +108,28 @@ def _wavelet_table(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
     Level 0 is the scaling basis of the unit interval. Level m >= 1 holds the
     wavelets of the first level-(m-1) cell: on each of its two level-m halves,
     the half's Legendre polynomials with the coefficients of G, the wavelet
-    half of the two-scale matrix.
+    half of the two-scale matrix. Kept in grid.basis_tables under ("wavelet",
+    axis, m, degree) and read-only, as _scaling_block keeps its tables.
     """
-    table = _scaling_block(grid, axis, m, degree)
-    if m == 0:
-        return table
-    r = degree + 1
-    g = _two_scale_matrix(degree)[:, r:]
-    return np.vstack([table @ g[:r], table @ g[r:]])
+    key = ("wavelet", axis, m, degree)
+    table = grid.basis_tables.get(key)
+    if table is None:
+        table = _scaling_block(grid, axis, m, degree)
+        if m > 0:
+            r = degree + 1
+            g = _two_scale_matrix(degree)[:, r:]
+            table = np.vstack([table @ g[:r], table @ g[r:]])
+            table.flags.writeable = False
+        grid.basis_tables[key] = table
+    return table
 
 
-def _detail_values(grid: Grid, block: DetailCoeffs, tables: dict) -> np.ndarray:
-    """Node values of one detail block: one _axis_product per axis, no pyramid.
-
-    tables maps (axis, m) to that axis's _wavelet_table at level m and is
-    filled on first use, so a caller evaluating many blocks builds each of
-    the at most d (K + 1) tables once.
-    """
+def _detail_values(grid: Grid, block: DetailCoeffs) -> np.ndarray:
+    """Node values of one detail block: one _axis_product per axis, no pyramid."""
     roots = tuple(l + 1 for l in block.degrees)
     values = _join_cells(block.coeffs, block.cells_shape, roots)
     for j, (m, l) in enumerate(zip(block.kappa, block.degrees)):
-        if (j, m) not in tables:
-            tables[j, m] = _wavelet_table(grid, j, m, l)
-        values = _axis_product(tables[j, m], values, j)
+        values = _axis_product(_wavelet_table(grid, j, m, l), values, j)
     return values
 
 
@@ -212,8 +211,6 @@ class PiecewisePoly:
 
 def _check_levels(grid: Grid, kappa, name: str = "kappa") -> tuple[int, ...]:
     kappa = _as_tuple(kappa, grid.d, name)
-    if any(k < 0 for k in kappa):
-        raise ValueError(f"{name} must be >= 0, got {kappa}")
     if any(k > grid.level for k in kappa):
         raise ValueError(
             f"{name} {kappa} exceeds the grid resolution {grid.level}"
@@ -226,8 +223,6 @@ def project_level(f: GridFunction, kappa, degrees) -> PiecewisePoly:
     grid = f.grid
     kappa = _check_levels(grid, kappa)
     degs = _as_tuple(degrees, grid.d, "degrees")
-    if any(l < 0 for l in degs):
-        raise ValueError(f"degrees must be >= 0, got {degs}")
     coeffs = _cell_coeffs(grid, f.values, kappa, degs)
     cells = tuple(2 ** k for k in kappa)
     coeffs = _split_cells(coeffs, cells, tuple(l + 1 for l in degs))

@@ -70,13 +70,6 @@ def _inverse_gap(p: float, q: float) -> float:
     return max(0.0, 1.0 / p - 1.0 / q)
 
 
-def _order_vec(value, d: int) -> tuple[int, ...]:
-    out = _as_tuple(value, d, "difference orders")
-    if any(v < 0 for v in out):
-        raise ValueError(f"difference orders must be >= 0, got {value!r}")
-    return out
-
-
 def _check_resolution(level: int, order: int) -> None:
     """Reject a level too coarse for the difference order: no whole-cell step fits.
 
@@ -392,7 +385,7 @@ def modulus_table(f: GridFunction, l, p: float, axes=None) -> ModulusTable:
     """
     grid = f.grid
     J = _resolve_axes(axes, grid.d)
-    lv = _order_vec(l, grid.d)
+    lv = _as_tuple(l, grid.d, "difference orders")
     _check_resolution(grid.level, max(lv[j] for j in J))
     cells = grid.cells_per_axis
     # outermost first: identity axes, then decreasing order, higher axis first on ties

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, _as_int, lp_norm
+from .grid import GridFunction, _as_int, _as_tuple, lp_norm
 from .indexing import (
     _cross_box,
     _cross_keys,
@@ -99,7 +99,7 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
     if r < 1:
         raise ValueError(f"cross radius must be >= 1, got {r}")
     _check_q(q)
-    degrees = tuple(int(x) for x in degrees)
+    degrees = _as_tuple(degrees, grid.d, "degrees")
     _, lattice, masks = _cross_masks(beta, (r,))
     ((_, n),) = _cross_dims(math.prod(l + 1 for l in degrees), lattice, masks)
     return _truncate(analyze(f, grid.level, degrees), beta, r, q), n
@@ -317,6 +317,8 @@ class WidthExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("level", "trials", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
         if self.trials < 1:
@@ -377,8 +379,8 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
         rows.append(
             {
                 "config": config.digest(),
-                "r": int(r),
-                "n": int(n),
+                "r": r,
+                "n": n,
                 "error": err,
                 "model": model,
                 "ratio": err / model,

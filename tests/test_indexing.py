@@ -195,6 +195,20 @@ def test_counting_radius_must_be_an_integer():
         (1.0, 1.0), (1.0, 1.0), 3)
 
 
+def test_counting_rejects_unequal_lengths_before_any_work(monkeypatch):
+    # zip used to truncate the ratio vector, then numpy failed in lattice @ alpha
+    def refused(*args):
+        raise AssertionError("work began before the check")
+
+    monkeypatch.setattr(polymra.indexing, "min_multiplicity", refused)
+    monkeypatch.setattr(polymra.indexing, "_cross_masks", refused)
+    with pytest.raises(ValueError,
+                       match=r"beta \(1.0, 1.5\) and alpha \(1.0,\) must have equal length"):
+        counting_ratios((1.0, 1.5), (1.0,), 3)
+    with pytest.raises(ValueError, match="must have equal length"):
+        counting_ratios((1.0,), (1.0, 1.0), 3)
+
+
 @pytest.mark.parametrize("beta, alpha", [
     ((1.0, math.inf), (1.0, 1.0)),
     ((1.0, math.nan), (1.0, 1.0)),
@@ -381,7 +395,7 @@ def test_cross_contains_rejects_negative_levels():
 
 
 def test_cross_contains_rejects_a_length_mismatch():
-    with pytest.raises(ValueError, match="length 2.*length 1"):
+    with pytest.raises(ValueError, match=r"kappa must have length 1, got \(1, 2\)"):
         cross_contains((1, 2), (1.0,), 3)
-    with pytest.raises(ValueError, match="length 1.*length 2"):
+    with pytest.raises(ValueError, match=r"kappa must have length 2, got \(5,\)"):
         cross_contains((5,), (1.0, 1.0), 3)

@@ -163,6 +163,18 @@ def test_scaling_tables_are_built_once_per_grid(rng, monkeypatch):
     assert first > 0 and len(built) == first
     with pytest.raises(ValueError):
         polymra.projectors._scaling_block(g, 0, 3, 1)[0, 0] = 0.0
+    # the wavelet tables of detail_components are kept with the grid too
+    banks = []
+    original_bank = polymra.projectors._two_scale_matrix
+    monkeypatch.setattr(polymra.projectors, "_two_scale_matrix",
+                        lambda *args: banks.append(args) or original_bank(*args))
+    tables = dict(g.basis_tables)
+    dict(detail_components(again))
+    assert banks == [] and len(built) == first
+    assert g.basis_tables.keys() == tables.keys()
+    assert all(g.basis_tables[key] is table for key, table in tables.items())
+    with pytest.raises(ValueError):
+        polymra.projectors._wavelet_table(g, 1, 2, 1)[0, 0] = 0.0
 
 
 def test_mutual_annihilation(rng):
