@@ -151,6 +151,8 @@ def grid_for(d: int, degree=0, level: int | None = None, nodes_per_cell=None) ->
     nodes_per_cell only ever raises the count.
     """
     d = _as_int(d, "dimension")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     degs = _as_tuple(degree, d, "degree")
     if level is None:
         level = _DEFAULT_LEVEL.get(d, 4)
@@ -193,6 +195,19 @@ class GridFunction:
 def lp_norm(f: GridFunction, p: float) -> float:
     """Quadrature L_p norm on the unit cube; p = inf gives the grid sup (diagnostic only)."""
     return box_lp_norm(f.grid, np.abs(f.values), p)
+
+
+def _lp_norms(grid: Grid, values: np.ndarray, ps) -> list[float]:
+    """Quadrature L_p norm of values at every p of ps, all read from one |values|.
+
+    Each p but the last gets a copy of |values| to overwrite, the last
+    |values| itself; each norm has the bits of lp_norm.
+    """
+    magnitudes = np.abs(values)
+    *head, last = ps
+    norms = [box_lp_norm(grid, magnitudes.copy(), p) for p in head]
+    norms.append(box_lp_norm(grid, magnitudes, last))
+    return norms
 
 
 def box_lp_norm(grid: Grid, magnitudes: np.ndarray, p: float) -> float:

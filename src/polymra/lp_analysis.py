@@ -8,20 +8,26 @@ boundedness across resolution levels is the falsifiable claim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, _as_int, _as_tuple, lp_norm
+from .grid import Grid, GridFunction, _as_int, _as_tuple, _lp_norms, lp_norm
+from .indexing import enum_box
 from .projectors import (
     Decomposition,
-    DetailCoeffs,
+    _block_range,
+    _box_slices,
+    _check_levels,
+    _decomposition,
     _detail_values,
+    _full_coeffs,
+    _pyramid,
     analyze,
     project_level,
-    synthesize,
 )
 
 __all__ = [
@@ -120,29 +126,29 @@ def _norm_ratios(
     One pass over the components feeds every p, one component alive at a
     time; their running sum is f_k, since the blocks cover the decomposition.
     The cost is one evaluation per block, the square function and f_k built
-    once, and (blocks + 2) quadrature norms per p. One triple per p, in the
-    order of ps.
+    once, one |g| for each of these (blocks + 2) functions, and (blocks + 2)
+    quadrature norms per p read from it. One triple per p, in the order of ps.
     """
+    grid = dec.grid
     norms = []
-    total = np.zeros(dec.grid.shape)
+    total = np.zeros(grid.shape)
 
     def measured():
         for _, g in detail_components(dec):
-            norms.append([lp_norm(g, p) for p in ps])
+            norms.append(_lp_norms(grid, g.values, ps))
             np.add(total, g.values, out=total)
             yield g
 
-    square_fn = _root_sum_squares(dec.grid, measured())
-    total_fn = GridFunction(dec.grid, total)
+    square_norms = _lp_norms(grid, _root_sum_squares(grid, measured()).values, ps)
+    total_norms = _lp_norms(grid, total, ps)
     out = []
     for i, p in enumerate(ps):
-        norm_p = lp_norm(total_fn, p)
+        norm_p = total_norms[i]
         pstar = min(2.0, p)
         agg = sum(n[i] ** pstar for n in norms) ** (1.0 / pstar)
         if norm_p == 0.0 or agg == 0.0:
             raise ValueError("zero function has no norm ratio")
-        square = lp_norm(square_fn, p) / norm_p
-        out.append((norm_p, square, norm_p / agg))
+        out.append((norm_p, square_norms[i] / norm_p, norm_p / agg))
     return tuple(out)
 
 
@@ -156,16 +162,46 @@ def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
     return _norm_ratios(analyze(f, k, degrees), (p,))[0][1]
 
 
-def _signed(dec: Decomposition, signs) -> Decomposition:
-    blocks = {}
-    for kappa, block in dec.blocks.items():
-        s = signs.sigma(kappa) if isinstance(signs, SignFamily) else signs[kappa]
+def _sign_tensor(signs, k, degrees) -> np.ndarray:
+    """sigma_kappa as +-1.0 on the rows of every block kappa of the box k (_box_slices).
+
+    A SignFamily gives the outer product of one row vector per axis, with
+    sign m on the rows of level m: l + 1 of them at level 0 and
+    (l + 1) 2^(m-1) at level m >= 1 (_block_range). A mapping is written
+    block by block and must give +1 or -1 for every kappa <= k.
+    """
+    if isinstance(signs, SignFamily):
+        if signs.d != len(k) or any(len(row) <= kj for row, kj in zip(signs.axis_signs, k)):
+            raise ValueError(f"signs need {len(k)} axes with k_j + 1 signs each for k = {k}")
+        axes = []
+        for row, kj, l in zip(signs.axis_signs, k, degrees):
+            rows = [l + 1] + [(l + 1) << (m - 1) for m in range(1, kj + 1)]
+            axes.append(np.repeat(np.array(row[: kj + 1], dtype=float), rows))
+        return functools.reduce(np.multiply.outer, axes)
+    out = np.empty(tuple(rows.stop for rows in _box_slices(k, degrees)))
+    for kappa in enum_box(k):
+        s = signs[kappa]
         if s not in (-1, 1):
             raise ValueError(f"sign for block {kappa} must be +1 or -1, got {s}")
-        blocks[kappa] = DetailCoeffs(
-            kappa=kappa, degrees=block.degrees, coeffs=s * block.coeffs
-        )
-    return Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=blocks)
+        out[tuple(_block_range(l, m) for l, m in zip(degrees, kappa))] = s
+    return out
+
+
+def _signed_values(grid: Grid, full: np.ndarray, k, degrees, signs) -> np.ndarray:
+    """Node values of sum_(kappa <= k) sigma_kappa E_kappa f from f's analysis tensor.
+
+    full is projectors._full_coeffs of f. Its box rows, times their signs,
+    go into a zero tensor, and one synthesis pyramid evaluates it. The rows
+    outside the box stay +0.0 rather than being multiplied by 0, so nothing
+    there, not even inf or nan, reaches the values. Multiplying by +-1 and
+    writing into zeros are exact, so the values equal those of synthesize
+    on the signed blocks; at most the sign of a zero differs, which no norm
+    sees.
+    """
+    box = _box_slices(k, degrees)
+    signed = np.zeros(full.shape)
+    np.multiply(full[box], _sign_tensor(signs, k, degrees), out=signed[box])
+    return _pyramid(grid, signed, degrees)
 
 
 def sign_series(f: GridFunction, signs, p: float, k, degrees) -> float:
@@ -176,8 +212,11 @@ def sign_series(f: GridFunction, signs, p: float, k, degrees) -> float:
     hypotheses but computed all the same.
     """
     p = _check_p_open(p)
-    dec = analyze(f, k, degrees)
-    return lp_norm(synthesize(_signed(dec, signs)), p)
+    grid = f.grid
+    k = _check_levels(grid, k, "k")
+    degs = _as_tuple(degrees, grid.d, "degrees")
+    values = _signed_values(grid, _full_coeffs(f, degs), k, degs, signs)
+    return lp_norm(GridFunction(grid, values), p)
 
 
 def pstar_ratio(f: GridFunction, p: float, k, degrees) -> float:
@@ -279,10 +318,11 @@ def lp_report(
     """Ratio statistics over a random ensemble of resolved functions, one report per p.
 
     Every p in ps (each 1 < p < infinity) is measured on the same ensemble:
-    per trial one draw, one analysis and one pass over the blocks
-    (_norm_ratios); per sign family one synthesis. Only the quadrature
-    norms are taken per p, so a sweep over m exponents costs one ensemble
-    plus m times the norms. Reports come in the order of ps.
+    per trial one draw, one analysis tensor and one pass over its blocks
+    (_norm_ratios); per sign family one signed copy of that tensor and one
+    synthesis pyramid (_signed_values). Each function has one |g|, and only
+    the quadrature norms are taken per p, so a sweep over m exponents costs
+    one ensemble plus m times the norms. Reports come in the order of ps.
     """
     ps = tuple(_check_p_open(p) for p in ps)
     if not ps:
@@ -291,26 +331,29 @@ def lp_report(
     degs = _as_tuple(degrees, grid.d, "degrees")
     trials = _as_int(trials, "trials")
     sign_trials = _as_int(sign_trials, "sign_trials")
+    seed = _as_int(seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if sign_trials < 1:
         raise ValueError(f"sign_trials must be >= 1, got {sign_trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     square_vals = [[] for _ in ps]
     pstar_vals = [[] for _ in ps]
     sign_vals = [[] for _ in ps]
     for _ in range(trials):
         f = random_resolved(grid, k, degs, rng)
-        dec = analyze(f, k, degs)
-        ratios = _norm_ratios(dec, ps)
+        full = _full_coeffs(f, degs)
+        ratios = _norm_ratios(_decomposition(grid, full, k, degs), ps)
         for i, (_, square, pstar) in enumerate(ratios):
             square_vals[i].append(square)
             pstar_vals[i].append(pstar)
         for _ in range(sign_trials):
             fam = SignFamily.random(k, rng)
-            signed = synthesize(_signed(dec, fam))
-            for i, p in enumerate(ps):
-                sign_vals[i].append(lp_norm(signed, p) / ratios[i][0])
+            norms = _lp_norms(grid, _signed_values(grid, full, k, degs, fam), ps)
+            for i, norm in enumerate(norms):
+                sign_vals[i].append(norm / ratios[i][0])
     return tuple(
         LPReport(
             p=p,

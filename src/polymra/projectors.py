@@ -289,6 +289,15 @@ def _insert_block(full: np.ndarray, block: DetailCoeffs) -> None:
     full[slices] += _join_cells(block.coeffs, block.cells_shape, roots)
 
 
+def _decomposition(grid: Grid, full: np.ndarray, k, degrees) -> Decomposition:
+    """The blocks kappa <= k of a _full_coeffs tensor, each a copy, in enum_box order."""
+    blocks = {}
+    for kappa in enum_box(k):
+        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=degrees,
+                                     coeffs=_extract_block(full, kappa, degrees))
+    return Decomposition(grid=grid, degrees=degrees, blocks=blocks)
+
+
 def analyze(f: GridFunction, k, degrees) -> Decomposition:
     """Orthonormal detail coefficients of f on every block kappa <= k, in enum_box order.
 
@@ -297,25 +306,29 @@ def analyze(f: GridFunction, k, degrees) -> Decomposition:
     grid = f.grid
     k = _check_levels(grid, k, "k")
     degs = _as_tuple(degrees, grid.d, "degrees")
-    full = _full_coeffs(f, degs)
-    blocks = {}
-    for kappa in enum_box(k):
-        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=degs,
-                                     coeffs=_extract_block(full, kappa, degs))
-    return Decomposition(grid=grid, degrees=degs, blocks=blocks)
+    return _decomposition(grid, _full_coeffs(f, degs), k, degs)
+
+
+def _box_slices(k, degrees) -> tuple[slice, ...]:
+    """Rows of a _full_coeffs tensor holding the blocks kappa <= k: a prefix per axis."""
+    return tuple(slice(0, _block_range(l, kj).stop) for l, kj in zip(degrees, k))
+
+
+def _pyramid(grid: Grid, full: np.ndarray, degrees) -> np.ndarray:
+    """Node values of a coefficient tensor in the _full_coeffs layout: the synthesis pyramid."""
+    for j, l in enumerate(degrees):
+        full = _synthesize_axis(full, j, _two_scale_matrix(l), grid.level)
+    return _cell_values(grid, full, (grid.level,) * grid.d, degrees)
 
 
 def synthesize(dec: Decomposition) -> GridFunction:
     """Sum of the basis expansions of all blocks of a decomposition."""
     grid = dec.grid
-    d = grid.d
-    shape = tuple((dec.degrees[j] + 1) * 2 ** grid.level for j in range(d))
+    shape = tuple((l + 1) * 2 ** grid.level for l in dec.degrees)
     full = np.zeros(shape)
     for block in dec.blocks.values():
         _insert_block(full, block)
-    for j, l in enumerate(dec.degrees):
-        full = _synthesize_axis(full, j, _two_scale_matrix(l), grid.level)
-    return GridFunction(grid, _cell_values(grid, full, (grid.level,) * d, dec.degrees))
+    return GridFunction(grid, _pyramid(grid, full, dec.degrees))
 
 
 def parseval_gap(f: GridFunction, k, degrees) -> float:

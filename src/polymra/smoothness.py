@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, _as_tuple, box_lp_norm, grid_for, lp_norm
+from .grid import Grid, GridFunction, _as_int, _as_tuple, box_lp_norm, grid_for, lp_norm
 from .lp_analysis import detail_components
 from .projectors import analyze, synthesize
 
@@ -507,6 +507,9 @@ def synthesize_extremal(params: SmoothnessParams, level: int, seed) -> GridFunct
     grid_for integrates products of two basis polynomials exactly); at any
     other p each block is evaluated on the grid once for its quadrature norm.
     """
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     d = len(params.alpha)
     degrees = tuple(lj - 1 for lj in params.l)
     grid = grid_for(d, degree=degrees, level=level)

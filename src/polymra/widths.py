@@ -372,13 +372,14 @@ def width_experiment(config: WidthExperimentConfig) -> list[dict]:
     else:
         measure = _grid_errors(config, beta)
     dims = _cross_dims(math.prod(params.l), lattice, masks)
+    digest = config.digest()
     rows = []
     for r, (inside, n) in zip(config.r_values, dims):
         err = measure(r, inside)
         model = float(n) ** -power * math.log(float(n)) ** log_power
         rows.append(
             {
-                "config": config.digest(),
+                "config": digest,
                 "r": r,
                 "n": n,
                 "error": err,

@@ -16,8 +16,24 @@ from numpy.polynomial import legendre
 from polymra.basis import detail_dim
 from polymra.grid import GridFunction, lp_norm
 from polymra.indexing import cross_contains, enum_cross, enum_shell, minimal_slots
-from polymra.projectors import Decomposition, analyze, project_level, synthesize
+from polymra.lp_analysis import SignFamily
+from polymra.projectors import Decomposition, DetailCoeffs, analyze, project_level, synthesize
 from polymra.quadrature import interval_basis_table
+
+
+def _signed(dec, signs):
+    """dec with block kappa times sigma_kappa: the sign series as blocks, for synthesize.
+
+    The block-by-block route to the sign series; lp_analysis writes the
+    signs into one copy of the analysis tensor instead.
+    """
+    blocks = {}
+    for kappa, block in dec.blocks.items():
+        s = signs.sigma(kappa) if isinstance(signs, SignFamily) else signs[kappa]
+        if s not in (-1, 1):
+            raise ValueError(f"sign for block {kappa} must be +1 or -1, got {s}")
+        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=block.degrees, coeffs=s * block.coeffs)
+    return Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=blocks)
 
 
 def legendre_eval(degree, x):

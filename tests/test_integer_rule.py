@@ -17,6 +17,7 @@ from polymra.grid import Grid, grid_for
 from polymra.indexing import DyadicCube, counting_ratios, cross_contains, enum_box, enum_shell
 from polymra.lp_analysis import SignFamily, lp_report
 from polymra.projectors import analyze, parseval_gap, project_level
+from polymra.quadrature import gauss_rule, legendre_table
 from polymra.smoothness import SmoothnessParams, modulus_table, synthesize_extremal
 from polymra.widths import WidthExperimentConfig, budget_plan, truncation_error
 
@@ -65,6 +66,7 @@ CASES = [
      lambda v: SignFamily.random((v,), np.random.default_rng(0)).axis_signs, 2, "k"),
     ("lp_report-trials", lambda v: _report(trials=v), 2, "trials"),
     ("lp_report-sign_trials", lambda v: _report(sign_trials=v), 2, "sign_trials"),
+    ("lp_report-seed", lambda v: _report(seed=v), 3, "seed"),
     ("modulus_table-l", lambda v: modulus_table(_F, (v,), 2.0).values, 1,
      "difference orders"),
     ("truncation_error-degrees",
@@ -73,6 +75,10 @@ CASES = [
      "cross radius"),
     ("synthesize_extremal-level",
      lambda v: synthesize_extremal(_PARAMS, v, 0).values, 3, "finest level"),
+    ("synthesize_extremal-seed",
+     lambda v: synthesize_extremal(_PARAMS, 3, v).values, 2, "seed"),
+    ("gauss_rule-n", lambda v: gauss_rule(v), 2, "n"),
+    ("legendre_table-degree", lambda v: legendre_table(v, [0.25]), 2, "degree"),
     ("WidthExperimentConfig-level",
      lambda v: WidthExperimentConfig(params=_PARAMS, level=v).digest(), 3, "level"),
     ("WidthExperimentConfig-trials",
@@ -85,8 +91,8 @@ CASES = [
     ("CellSet-resolution", lambda v: CellSet(v, np.zeros(4, dtype=bool)).measure(), 2,
      "resolution"),
 ]
-# any seed is valid and -1 is a sign; a negative d fails on grid_for's degree length
-SIGNED = ("grid_for-d", "SignFamily-signs", "WidthExperimentConfig-seed")
+# a config digest takes any seed, and -1 is a sign
+SIGNED = ("SignFamily-signs", "WidthExperimentConfig-seed")
 
 
 def _cases(rows):
@@ -117,3 +123,10 @@ def test_per_axis_vectors_name_the_bound():
     with pytest.raises(ValueError, match=r"degrees must be >= 0, got \(-1,\)"):
         analyze(_F, 2, -1)
     assert DyadicCube(np.array([1, 2]), np.array([0, 3])) == DyadicCube((1, 2), (0, 3))
+
+
+def test_a_negative_dimension_is_named_before_the_degree():
+    with pytest.raises(ValueError, match=r"dimension must be >= 1, got -1"):
+        grid_for(-1)
+    with pytest.raises(ValueError, match=r"dimension must be >= 1, got 0"):
+        grid_for(0, degree=())

@@ -16,8 +16,9 @@ from polymra.lp_analysis import (
     sign_series,
     square_function,
 )
-from polymra.projectors import project_level
-from oracles import rademacher_eval, rademacher_sum_lp_brute
+from polymra.lp_analysis import _signed_values
+from polymra.projectors import _full_coeffs, project_level
+from oracles import _signed, rademacher_eval, rademacher_sum_lp_brute
 
 
 def test_square_function_single_block(rng):
@@ -107,8 +108,6 @@ def test_sign_involution(rng):
     k = (2, 2)
     f = g.function(rng.standard_normal(g.shape))
     fam = SignFamily.random(k, rng)
-    from polymra.lp_analysis import _signed
-
     once = synthesize(_signed(analyze(f, k, degs), fam))
     twice = synthesize(_signed(analyze(once, k, degs), fam))
     level = project_level(f, k, degs).to_grid()
@@ -286,7 +285,8 @@ def test_lp_report_checks_every_p_before_drawing(monkeypatch):
 
 
 def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
-    counts = {"analyze": 0, "synthesize": 0}
+    # one analysis tensor per trial, one pyramid per sign family, whatever the p
+    counts = {"_full_coeffs": 0, "_pyramid": 0, "analyze": 0}
 
     def counted(name):
         fn = getattr(polymra.lp_analysis, name)
@@ -301,4 +301,49 @@ def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
         monkeypatch.setattr(polymra.lp_analysis, name, counted(name))
     g = grid_for(1, degree=1, level=4)
     lp_report(g, (4,), (1,), (1.5, 3.0, 4.0), trials=2, sign_trials=3, seed=5)
-    assert counts == {"analyze": 2, "synthesize": 2 * 3}
+    assert counts == {"_full_coeffs": 2, "_pyramid": 2 * 3, "analyze": 0}
+
+
+@pytest.mark.parametrize("degs, level, k", [
+    ((1,), 5, (5,)),
+    ((2,), 5, (3,)),  # k < K
+    ((1, 0), 3, (3, 3)),
+    ((0, 2), 3, (3, 1)),  # mixed degrees, k < K on one axis
+    ((1, 0, 2), 2, (2, 2, 2)),
+    ((0, 1, 0), 2, (1, 2, 2)),
+], ids=["d1", "d1-k<K", "d2", "d2-k<K", "d3", "d3-k<K"])
+def test_signed_tensor_route_equals_synthesize_of_signed_blocks(rng, degs, level, k):
+    g = grid_for(len(degs), degree=degs, level=level)
+    f = g.function(rng.standard_normal(g.shape))
+    full = _full_coeffs(f, degs)
+    dec = analyze(f, k, degs)
+    product = SignFamily.random(k, rng)
+    mapping = {kappa: int(rng.choice((-1, 1))) for kappa in dec.blocks}
+    plus = SignFamily(tuple((1,) * (kj + 1) for kj in k))
+    for signs in (product, mapping, plus):
+        got = _signed_values(g, full, k, degs, signs)
+        assert np.array_equal(got, synthesize(_signed(dec, signs)).values)
+    assert np.array_equal(_signed_values(g, full, k, degs, plus), synthesize(dec).values)
+
+
+def test_signed_tensor_route_reads_only_the_box(rng):
+    # the rows outside the box are never read, so a nan or inf there cannot leak in
+    degs, k = (1, 0), (2, 1)
+    g = grid_for(2, degree=degs, level=3)
+    f = g.function(rng.standard_normal(g.shape))
+    full = _full_coeffs(f, degs)
+    planted = full.copy()
+    planted[8:, :] = np.nan  # box rows: 2 * 2^2 on axis 0, 1 * 2^1 on axis 1
+    planted[:, 2:] = np.inf
+    fam = SignFamily.random(k, rng)
+    got = _signed_values(g, planted, k, degs, fam)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, synthesize(_signed(analyze(f, k, degs), fam)).values)
+
+
+def test_sign_series_rejects_signs_that_do_not_cover_the_box(rng):
+    g = grid_for(2, degree=0, level=2)
+    f = g.function(rng.standard_normal(g.shape))
+    for fam in (SignFamily(((1, -1, 1),)), SignFamily(((1, -1, 1), (1, -1)))):
+        with pytest.raises(ValueError, match="signs need 2 axes"):
+            sign_series(f, fam, 3.0, (2, 2), (0, 0))

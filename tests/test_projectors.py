@@ -135,15 +135,19 @@ def test_detail_components_match_the_one_block_pyramid(rng, degs, K):
 
 
 def test_detail_components_never_synthesize(rng, monkeypatch):
+    # synthesize and the sign series both evaluate through _pyramid
     calls = []
     for module in (polymra.projectors, polymra.lp_analysis):
-        original = module.synthesize
-        monkeypatch.setattr(module, "synthesize",
-                            lambda dec, original=original: calls.append(1) or original(dec))
+        original = module._pyramid
+        monkeypatch.setattr(module, "_pyramid",
+                            lambda *args, original=original: calls.append(1) or original(*args))
     g = grid_for(2, degree=1, level=3)
     f = g.function(rng.standard_normal(g.shape))
-    parts = dict(detail_components(analyze(f, (3, 3), (1, 1))))
+    dec = analyze(f, (3, 3), (1, 1))
+    parts = dict(detail_components(dec))
     assert len(parts) == 16 and calls == []
+    polymra.projectors.synthesize(dec)
+    assert calls == [1]
 
 
 def test_scaling_tables_are_built_once_per_grid(rng, monkeypatch):

@@ -405,6 +405,16 @@ class TestWidthExperiment:
         assert a.digest() == WidthExperimentConfig(**{**a.__dict__}).digest()
         assert a.digest() != b.digest()
 
+    def test_digest_is_taken_once_per_experiment(self, monkeypatch):
+        cfg = WidthExperimentConfig(params=params2(), level=4, r_values=(3, 4, 5, 6))
+        calls = []
+        digest = WidthExperimentConfig.digest
+        monkeypatch.setattr(WidthExperimentConfig, "digest",
+                            lambda self: calls.append(self) or digest(self))
+        rows = width_experiment(cfg)
+        assert len(calls) == 1
+        assert [row["config"] for row in rows] == [digest(cfg)] * 4
+
     def test_rate_condition_enforced(self):
         cfg = WidthExperimentConfig(
             params=params2(alpha=(0.4, 0.4), p=1.0), q=math.inf, level=3, r_values=(2, 3)
