@@ -19,14 +19,13 @@ from .grid import Grid, GridFunction, _as_int, _as_tuple, _lp_norms, lp_norm
 from .indexing import enum_box
 from .projectors import (
     Decomposition,
-    _block_range,
+    _block_slices,
+    _block_values,
     _box_slices,
     _check_levels,
-    _decomposition,
     _detail_values,
     _full_coeffs,
     _pyramid,
-    analyze,
     project_level,
 )
 
@@ -103,43 +102,68 @@ def detail_components(dec: Decomposition) -> Iterator[tuple[tuple[int, ...], Gri
         yield kappa, GridFunction(dec.grid, _detail_values(dec.grid, block))
 
 
-def _root_sum_squares(grid: Grid, parts: Iterable[GridFunction]) -> GridFunction:
+def _root_sum_squares(grid: Grid, parts: Iterable[np.ndarray]) -> np.ndarray:
     acc = np.zeros(grid.shape)
     for part in parts:
-        acc += part.values ** 2
-    return GridFunction(grid, np.sqrt(acc))
+        acc += part ** 2
+    return np.sqrt(acc)
 
 
 def square_function(dec: Decomposition) -> GridFunction:
     """Pointwise l2 norm across blocks: sqrt(sum_kappa (detail_kappa(x))^2)."""
-    return _root_sum_squares(dec.grid, (g for _, g in detail_components(dec)))
+    parts = (g.values for _, g in detail_components(dec))
+    return GridFunction(dec.grid, _root_sum_squares(dec.grid, parts))
+
+
+def _analysis_tensor(f: GridFunction, k, degrees):
+    """(tensor, k, degrees): f's analysis tensor, the checked box corner and degrees.
+
+    The tensor is projectors._full_coeffs: every block kappa <= K of f,
+    each on its _block_slices, so any box k <= K reads its blocks off it.
+    """
+    grid = f.grid
+    k = _check_levels(grid, k, "k")
+    degs = _as_tuple(degrees, grid.d, "degrees")
+    return _full_coeffs(f, degs), k, degs
+
+
+def _tensor_components(grid: Grid, full: np.ndarray, k, degrees) -> Iterator[np.ndarray]:
+    """Node values of each block kappa <= k of an analysis tensor, in enum_box order.
+
+    Each block's rows are copied out C-contiguous and evaluated by
+    projectors._block_values, as detail_components evaluates the blocks of
+    analyze, with no Decomposition in between; one component is alive at
+    a time.
+    """
+    for kappa in enum_box(k):
+        rows = np.ascontiguousarray(full[_block_slices(kappa, degrees)])
+        yield _block_values(grid, rows, kappa, degrees)
 
 
 def _norm_ratios(
-    dec: Decomposition, ps: Sequence[float]
+    grid: Grid, full: np.ndarray, k, degrees, ps: Sequence[float]
 ) -> tuple[tuple[float, float, float], ...]:
-    """(||f_k||_p, square-function ratio, p*-aggregate ratio) of one decomposition, per p.
+    """(||f_k||_p, square-function ratio, p*-aggregate ratio) from f's analysis tensor, per p.
 
-    f_k is the synthesized decomposition; the square-function ratio is
-    ||S f_k||_p / ||f_k||_p and the p*-aggregate ratio is
+    f_k is the sum of the blocks kappa <= k of full; the square-function
+    ratio is ||S f_k||_p / ||f_k||_p and the p*-aggregate ratio is
     ||f_k||_p / (sum_kappa ||detail_kappa||_p^(p*))^(1/p*) with p* = min(2, p).
-    One pass over the components feeds every p, one component alive at a
-    time; their running sum is f_k, since the blocks cover the decomposition.
-    The cost is one evaluation per block, the square function and f_k built
-    once, one |g| for each of these (blocks + 2) functions, and (blocks + 2)
-    quadrature norms per p read from it. One triple per p, in the order of ps.
+    One pass over the components (_tensor_components) feeds every p, one
+    component alive at a time; their running sum is f_k. The cost is one
+    evaluation per block, the square function and f_k built once, one |g|
+    for each of these (blocks + 2) functions, and (blocks + 2) quadrature
+    norms per p read from it. One triple per p, in the order of ps.
     """
-    grid = dec.grid
     norms = []
     total = np.zeros(grid.shape)
 
     def measured():
-        for _, g in detail_components(dec):
-            norms.append(_lp_norms(grid, g.values, ps))
-            np.add(total, g.values, out=total)
+        for g in _tensor_components(grid, full, k, degrees):
+            norms.append(_lp_norms(grid, g, ps))
+            np.add(total, g, out=total)
             yield g
 
-    square_norms = _lp_norms(grid, _root_sum_squares(grid, measured()).values, ps)
+    square_norms = _lp_norms(grid, _root_sum_squares(grid, measured()), ps)
     total_norms = _lp_norms(grid, total, ps)
     out = []
     for i, p in enumerate(ps):
@@ -159,7 +183,7 @@ def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
     in the resolved space; at p=2 the ratio is identically 1.
     """
     p = _check_p_open(p)
-    return _norm_ratios(analyze(f, k, degrees), (p,))[0][1]
+    return _norm_ratios(f.grid, *_analysis_tensor(f, k, degrees), (p,))[0][1]
 
 
 def _sign_tensor(signs, k, degrees) -> np.ndarray:
@@ -167,8 +191,8 @@ def _sign_tensor(signs, k, degrees) -> np.ndarray:
 
     A SignFamily gives the outer product of one row vector per axis, with
     sign m on the rows of level m: l + 1 of them at level 0 and
-    (l + 1) 2^(m-1) at level m >= 1 (_block_range). A mapping is written
-    block by block and must give +1 or -1 for every kappa <= k.
+    (l + 1) 2^(m-1) at level m >= 1 (projectors._block_range). A mapping
+    is written block by block and must give +1 or -1 for every kappa <= k.
     """
     if isinstance(signs, SignFamily):
         if signs.d != len(k) or any(len(row) <= kj for row, kj in zip(signs.axis_signs, k)):
@@ -183,7 +207,7 @@ def _sign_tensor(signs, k, degrees) -> np.ndarray:
         s = signs[kappa]
         if s not in (-1, 1):
             raise ValueError(f"sign for block {kappa} must be +1 or -1, got {s}")
-        out[tuple(_block_range(l, m) for l, m in zip(degrees, kappa))] = s
+        out[_block_slices(kappa, degrees)] = s
     return out
 
 
@@ -212,11 +236,8 @@ def sign_series(f: GridFunction, signs, p: float, k, degrees) -> float:
     hypotheses but computed all the same.
     """
     p = _check_p_open(p)
-    grid = f.grid
-    k = _check_levels(grid, k, "k")
-    degs = _as_tuple(degrees, grid.d, "degrees")
-    values = _signed_values(grid, _full_coeffs(f, degs), k, degs, signs)
-    return lp_norm(GridFunction(grid, values), p)
+    values = _signed_values(f.grid, *_analysis_tensor(f, k, degrees), signs)
+    return lp_norm(GridFunction(f.grid, values), p)
 
 
 def pstar_ratio(f: GridFunction, p: float, k, degrees) -> float:
@@ -228,7 +249,7 @@ def pstar_ratio(f: GridFunction, p: float, k, degrees) -> float:
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must lie in [1, infinity), got {p}")
-    return _norm_ratios(analyze(f, k, degrees), (p,))[0][2]
+    return _norm_ratios(f.grid, *_analysis_tensor(f, k, degrees), (p,))[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +366,7 @@ def lp_report(
     for _ in range(trials):
         f = random_resolved(grid, k, degs, rng)
         full = _full_coeffs(f, degs)
-        ratios = _norm_ratios(_decomposition(grid, full, k, degs), ps)
+        ratios = _norm_ratios(grid, full, k, degs, ps)
         for i, (_, square, pstar) in enumerate(ratios):
             square_vals[i].append(square)
             pstar_vals[i].append(pstar)

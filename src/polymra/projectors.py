@@ -124,13 +124,21 @@ def _wavelet_table(grid: Grid, axis: int, m: int, degree: int) -> np.ndarray:
     return table
 
 
+def _block_values(grid: Grid, coeffs: np.ndarray, kappa, degrees) -> np.ndarray:
+    """Node values of block kappa from its rows of the coefficient tensor (_block_slices).
+
+    One _axis_product per axis, no pyramid.
+    """
+    for j, (m, l) in enumerate(zip(kappa, degrees)):
+        coeffs = _axis_product(_wavelet_table(grid, j, m, l), coeffs, j)
+    return coeffs
+
+
 def _detail_values(grid: Grid, block: DetailCoeffs) -> np.ndarray:
-    """Node values of one detail block: one _axis_product per axis, no pyramid."""
+    """Node values of one detail block."""
     roots = tuple(l + 1 for l in block.degrees)
-    values = _join_cells(block.coeffs, block.cells_shape, roots)
-    for j, (m, l) in enumerate(zip(block.kappa, block.degrees)):
-        values = _axis_product(_wavelet_table(grid, j, m, l), values, j)
-    return values
+    coeffs = _join_cells(block.coeffs, block.cells_shape, roots)
+    return _block_values(grid, coeffs, block.kappa, block.degrees)
 
 
 def _split_cells(x: np.ndarray, cells, roots) -> np.ndarray:
@@ -276,8 +284,18 @@ def _full_coeffs(f: GridFunction, degrees: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _block_slices(kappa, degrees) -> tuple[slice, ...]:
+    """Rows of the coefficient tensor holding block kappa, one _block_range per axis."""
+    return tuple(_block_range(l, m) for l, m in zip(degrees, kappa))
+
+
+def _box_slices(k, degrees) -> tuple[slice, ...]:
+    """Rows of the coefficient tensor holding the blocks kappa <= k: a prefix per axis."""
+    return tuple(slice(0, _block_range(l, kj).stop) for l, kj in zip(degrees, k))
+
+
 def _extract_block(full: np.ndarray, kappa, degrees) -> np.ndarray:
-    sub = full[tuple(_block_range(l, k) for l, k in zip(degrees, kappa))]
+    sub = full[_block_slices(kappa, degrees)]
     cells = detail_cells(kappa)
     sub = _split_cells(sub, cells, tuple(l + 1 for l in degrees))
     return np.ascontiguousarray(sub.reshape(cells + (-1,)))
@@ -285,17 +303,8 @@ def _extract_block(full: np.ndarray, kappa, degrees) -> np.ndarray:
 
 def _insert_block(full: np.ndarray, block: DetailCoeffs) -> None:
     roots = tuple(l + 1 for l in block.degrees)
-    slices = tuple(_block_range(l, k) for l, k in zip(block.degrees, block.kappa))
-    full[slices] += _join_cells(block.coeffs, block.cells_shape, roots)
-
-
-def _decomposition(grid: Grid, full: np.ndarray, k, degrees) -> Decomposition:
-    """The blocks kappa <= k of a _full_coeffs tensor, each a copy, in enum_box order."""
-    blocks = {}
-    for kappa in enum_box(k):
-        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=degrees,
-                                     coeffs=_extract_block(full, kappa, degrees))
-    return Decomposition(grid=grid, degrees=degrees, blocks=blocks)
+    full[_block_slices(block.kappa, block.degrees)] += _join_cells(
+        block.coeffs, block.cells_shape, roots)
 
 
 def analyze(f: GridFunction, k, degrees) -> Decomposition:
@@ -306,12 +315,12 @@ def analyze(f: GridFunction, k, degrees) -> Decomposition:
     grid = f.grid
     k = _check_levels(grid, k, "k")
     degs = _as_tuple(degrees, grid.d, "degrees")
-    return _decomposition(grid, _full_coeffs(f, degs), k, degs)
-
-
-def _box_slices(k, degrees) -> tuple[slice, ...]:
-    """Rows of a _full_coeffs tensor holding the blocks kappa <= k: a prefix per axis."""
-    return tuple(slice(0, _block_range(l, kj).stop) for l, kj in zip(degrees, k))
+    full = _full_coeffs(f, degs)
+    blocks = {}
+    for kappa in enum_box(k):
+        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=degs,
+                                     coeffs=_extract_block(full, kappa, degs))
+    return Decomposition(grid=grid, degrees=degs, blocks=blocks)
 
 
 def _pyramid(grid: Grid, full: np.ndarray, degrees) -> np.ndarray:

@@ -16,7 +16,7 @@ from polymra.lp_analysis import (
     sign_series,
     square_function,
 )
-from polymra.lp_analysis import _signed_values
+from polymra.lp_analysis import _signed_values, _tensor_components, detail_components
 from polymra.projectors import _full_coeffs, project_level
 from oracles import _signed, rademacher_eval, rademacher_sum_lp_brute
 
@@ -286,7 +286,7 @@ def test_lp_report_checks_every_p_before_drawing(monkeypatch):
 
 def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
     # one analysis tensor per trial, one pyramid per sign family, whatever the p
-    counts = {"_full_coeffs": 0, "_pyramid": 0, "analyze": 0}
+    counts = {"_full_coeffs": 0, "_pyramid": 0}
 
     def counted(name):
         fn = getattr(polymra.lp_analysis, name)
@@ -301,10 +301,10 @@ def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
         monkeypatch.setattr(polymra.lp_analysis, name, counted(name))
     g = grid_for(1, degree=1, level=4)
     lp_report(g, (4,), (1,), (1.5, 3.0, 4.0), trials=2, sign_trials=3, seed=5)
-    assert counts == {"_full_coeffs": 2, "_pyramid": 2 * 3, "analyze": 0}
+    assert counts == {"_full_coeffs": 2, "_pyramid": 2 * 3}
 
 
-@pytest.mark.parametrize("degs, level, k", [
+TENSOR_CASES = pytest.mark.parametrize("degs, level, k", [
     ((1,), 5, (5,)),
     ((2,), 5, (3,)),  # k < K
     ((1, 0), 3, (3, 3)),
@@ -312,6 +312,18 @@ def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
     ((1, 0, 2), 2, (2, 2, 2)),
     ((0, 1, 0), 2, (1, 2, 2)),
 ], ids=["d1", "d1-k<K", "d2", "d2-k<K", "d3", "d3-k<K"])
+
+
+@TENSOR_CASES
+def test_tensor_components_have_the_bits_of_detail_components(rng, degs, level, k):
+    g = grid_for(len(degs), degree=degs, level=level)
+    f = g.function(rng.standard_normal(g.shape))
+    got = list(_tensor_components(g, _full_coeffs(f, degs), k, degs))
+    want = [part.values for _, part in detail_components(analyze(f, k, degs))]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@TENSOR_CASES
 def test_signed_tensor_route_equals_synthesize_of_signed_blocks(rng, degs, level, k):
     g = grid_for(len(degs), degree=degs, level=level)
     f = g.function(rng.standard_normal(g.shape))

@@ -14,7 +14,7 @@ import polymra.projectors
 import polymra.smoothness
 from polymra.grid import GridFunction, grid_for, lp_norm
 from polymra.lp_analysis import _norm_ratios, detail_components, lp_equivalence
-from polymra.projectors import Decomposition, analyze, synthesize
+from polymra.projectors import Decomposition, _full_coeffs, analyze, synthesize
 from polymra.smoothness import (
     ModulusTable,
     SmoothnessParams,
@@ -583,12 +583,12 @@ def test_component_consumers_hold_a_few_blocks_at_a_time():
     params = SmoothnessParams((1.0, 1.0))
     f = synthesize_extremal(params, 5, 0)
     grid_bytes = f.values.nbytes
-    dec = analyze(f, (5, 5), (1, 1))
+    full = _full_coeffs(f, (1, 1))
     calls = {
         "synthesize_extremal": lambda: synthesize_extremal(params, 5, 0),
         "decay_check": lambda: decay_check(f, params, 3.0),
         "lp_equivalence": lambda: lp_equivalence(f, 3.0, (5, 5), (1, 1)),
-        "_norm_ratios": lambda: _norm_ratios(dec, (1.5, 3.0, 4.0)),
+        "_norm_ratios": lambda: _norm_ratios(f.grid, full, (5, 5), (1, 1), (1.5, 3.0, 4.0)),
     }
     for name, call in calls.items():
         tracemalloc.start()
