@@ -197,15 +197,22 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return box_lp_norm(f.grid, np.abs(f.values), p)
 
 
-def _lp_norms(grid: Grid, values: np.ndarray, ps) -> list[float]:
+def _lp_norms(grid: Grid, values: np.ndarray, ps, scratch) -> list[float]:
     """Quadrature L_p norm of values at every p of ps, all read from one |values|.
 
-    Each p but the last gets a copy of |values| to overwrite, the last
-    |values| itself; each norm has the bits of lp_norm.
+    scratch is a pair of arrays of the values' shape that the caller keeps
+    across calls, so no call allocates: fresh grid-sized temporaries cost
+    page faults once they pass malloc's mmap threshold. |values| goes into
+    the first array; each p but the last overwrites a copy of it in the
+    second, and the last p the first. Each norm has the bits of lp_norm.
     """
-    magnitudes = np.abs(values)
+    magnitudes, work = scratch
+    np.abs(values, out=magnitudes)
     *head, last = ps
-    norms = [box_lp_norm(grid, magnitudes.copy(), p) for p in head]
+    norms = []
+    for p in head:
+        np.copyto(work, magnitudes)
+        norms.append(box_lp_norm(grid, work, p))
     norms.append(box_lp_norm(grid, magnitudes, last))
     return norms
 

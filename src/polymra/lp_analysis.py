@@ -141,7 +141,7 @@ def _tensor_components(grid: Grid, full: np.ndarray, k, degrees) -> Iterator[np.
 
 
 def _norm_ratios(
-    grid: Grid, full: np.ndarray, k, degrees, ps: Sequence[float]
+    grid: Grid, full: np.ndarray, k, degrees, ps: Sequence[float], scratch=None
 ) -> tuple[tuple[float, float, float], ...]:
     """(||f_k||_p, square-function ratio, p*-aggregate ratio) from f's analysis tensor, per p.
 
@@ -152,19 +152,23 @@ def _norm_ratios(
     component alive at a time; their running sum is f_k. The cost is one
     evaluation per block, the square function and f_k built once, one |g|
     for each of these (blocks + 2) functions, and (blocks + 2) quadrature
-    norms per p read from it. One triple per p, in the order of ps.
+    norms per p read from it; scratch is grid._lp_norms's pair of arrays,
+    made here unless the caller passes its own. One triple per p, in the
+    order of ps.
     """
+    if scratch is None:
+        scratch = np.empty((2,) + grid.shape)
     norms = []
     total = np.zeros(grid.shape)
 
     def measured():
         for g in _tensor_components(grid, full, k, degrees):
-            norms.append(_lp_norms(grid, g, ps))
+            norms.append(_lp_norms(grid, g, ps, scratch))
             np.add(total, g, out=total)
             yield g
 
-    square_norms = _lp_norms(grid, _root_sum_squares(grid, measured()), ps)
-    total_norms = _lp_norms(grid, total, ps)
+    square_norms = _lp_norms(grid, _root_sum_squares(grid, measured()), ps, scratch)
+    total_norms = _lp_norms(grid, total, ps, scratch)
     out = []
     for i, p in enumerate(ps):
         norm_p = total_norms[i]
@@ -363,17 +367,18 @@ def lp_report(
     square_vals = [[] for _ in ps]
     pstar_vals = [[] for _ in ps]
     sign_vals = [[] for _ in ps]
+    scratch = np.empty((2,) + grid.shape)
     for _ in range(trials):
         f = random_resolved(grid, k, degs, rng)
         full = _full_coeffs(f, degs)
-        ratios = _norm_ratios(grid, full, k, degs, ps)
+        ratios = _norm_ratios(grid, full, k, degs, ps, scratch)
         for i, (_, square, pstar) in enumerate(ratios):
             square_vals[i].append(square)
             pstar_vals[i].append(pstar)
         for _ in range(sign_trials):
             fam = SignFamily.random(k, rng)
-            norms = _lp_norms(grid, _signed_values(grid, full, k, degs, fam), ps)
-            for i, norm in enumerate(norms):
+            signed = _signed_values(grid, full, k, degs, fam)
+            for i, norm in enumerate(_lp_norms(grid, signed, ps, scratch)):
                 sign_vals[i].append(norm / ratios[i][0])
     return tuple(
         LPReport(
