@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import gauss_rule
+from .quadrature import _as_int, gauss_rule
 
 __all__ = [
     "Grid",
@@ -26,14 +26,6 @@ __all__ = [
 
 # default finest dyadic level per dimension; memory grows like 2^(K d)
 _DEFAULT_LEVEL = {1: 6, 2: 6, 3: 4}
-
-
-def _as_int(value, name: str) -> int:
-    """value as an int through operator.index: numpy ints pass, a float raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
@@ -197,22 +189,16 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return box_lp_norm(f.grid, np.abs(f.values), p)
 
 
-def _lp_norms(grid: Grid, values: np.ndarray, ps, scratch) -> list[float]:
+def _lp_norms(grid: Grid, values: np.ndarray, ps) -> list[float]:
     """Quadrature L_p norm of values at every p of ps, all read from one |values|.
 
-    scratch is a pair of arrays of the values' shape that the caller keeps
-    across calls, so no call allocates: fresh grid-sized temporaries cost
-    page faults once they pass malloc's mmap threshold. |values| goes into
-    the first array; each p but the last overwrites a copy of it in the
-    second, and the last p the first. Each norm has the bits of lp_norm.
+    values is overwritten with |values|, so besides it only one grid-sized
+    array is alive at a time: a copy of it for each p but the last, which
+    takes values itself. Each norm has the bits of lp_norm.
     """
-    magnitudes, work = scratch
-    np.abs(values, out=magnitudes)
+    magnitudes = np.abs(values, out=values)
     *head, last = ps
-    norms = []
-    for p in head:
-        np.copyto(work, magnitudes)
-        norms.append(box_lp_norm(grid, work, p))
+    norms = [box_lp_norm(grid, magnitudes.copy(), p) for p in head]
     norms.append(box_lp_norm(grid, magnitudes, last))
     return norms
 

@@ -8,7 +8,6 @@ boundedness across resolution levels is the falsifiable claim.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -141,7 +140,7 @@ def _tensor_components(grid: Grid, full: np.ndarray, k, degrees) -> Iterator[np.
 
 
 def _norm_ratios(
-    grid: Grid, full: np.ndarray, k, degrees, ps: Sequence[float], scratch=None
+    grid: Grid, full: np.ndarray, k, degrees, ps: Sequence[float]
 ) -> tuple[tuple[float, float, float], ...]:
     """(||f_k||_p, square-function ratio, p*-aggregate ratio) from f's analysis tensor, per p.
 
@@ -152,23 +151,21 @@ def _norm_ratios(
     component alive at a time; their running sum is f_k. The cost is one
     evaluation per block, the square function and f_k built once, one |g|
     for each of these (blocks + 2) functions, and (blocks + 2) quadrature
-    norms per p read from it; scratch is grid._lp_norms's pair of arrays,
-    made here unless the caller passes its own. One triple per p, in the
+    norms per p read from it (grid._lp_norms). One triple per p, in the
     order of ps.
     """
-    if scratch is None:
-        scratch = np.empty((2,) + grid.shape)
     norms = []
     total = np.zeros(grid.shape)
 
     def measured():
         for g in _tensor_components(grid, full, k, degrees):
-            norms.append(_lp_norms(grid, g, ps, scratch))
             np.add(total, g, out=total)
             yield g
+            # the square function has read g; its norms overwrite it
+            norms.append(_lp_norms(grid, g, ps))
 
-    square_norms = _lp_norms(grid, _root_sum_squares(grid, measured()), ps, scratch)
-    total_norms = _lp_norms(grid, total, ps, scratch)
+    square_norms = _lp_norms(grid, _root_sum_squares(grid, measured()), ps)
+    total_norms = _lp_norms(grid, total, ps)
     out = []
     for i, p in enumerate(ps):
         norm_p = total_norms[i]
@@ -193,22 +190,11 @@ def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
 def _sign_tensor(signs, k, degrees) -> np.ndarray:
     """sigma_kappa as +-1.0 on the rows of every block kappa of the box k (_box_slices).
 
-    A SignFamily gives the outer product of one row vector per axis, with
-    sign m on the rows of level m: l + 1 of them at level 0 and
-    (l + 1) 2^(m-1) at level m >= 1 (projectors._block_range). A mapping
-    is written block by block and must give +1 or -1 for every kappa <= k.
+    signs is a SignFamily or a mapping from every kappa <= k to +1 or -1.
     """
-    if isinstance(signs, SignFamily):
-        if signs.d != len(k) or any(len(row) <= kj for row, kj in zip(signs.axis_signs, k)):
-            raise ValueError(f"signs need {len(k)} axes with k_j + 1 signs each for k = {k}")
-        axes = []
-        for row, kj, l in zip(signs.axis_signs, k, degrees):
-            rows = [l + 1] + [(l + 1) << (m - 1) for m in range(1, kj + 1)]
-            axes.append(np.repeat(np.array(row[: kj + 1], dtype=float), rows))
-        return functools.reduce(np.multiply.outer, axes)
     out = np.empty(tuple(rows.stop for rows in _box_slices(k, degrees)))
     for kappa in enum_box(k):
-        s = signs[kappa]
+        s = signs.sigma(kappa) if isinstance(signs, SignFamily) else signs[kappa]
         if s not in (-1, 1):
             raise ValueError(f"sign for block {kappa} must be +1 or -1, got {s}")
         out[_block_slices(kappa, degrees)] = s
@@ -367,18 +353,17 @@ def lp_report(
     square_vals = [[] for _ in ps]
     pstar_vals = [[] for _ in ps]
     sign_vals = [[] for _ in ps]
-    scratch = np.empty((2,) + grid.shape)
     for _ in range(trials):
         f = random_resolved(grid, k, degs, rng)
         full = _full_coeffs(f, degs)
-        ratios = _norm_ratios(grid, full, k, degs, ps, scratch)
+        ratios = _norm_ratios(grid, full, k, degs, ps)
         for i, (_, square, pstar) in enumerate(ratios):
             square_vals[i].append(square)
             pstar_vals[i].append(pstar)
         for _ in range(sign_trials):
             fam = SignFamily.random(k, rng)
             signed = _signed_values(grid, full, k, degs, fam)
-            for i, norm in enumerate(_lp_norms(grid, signed, ps, scratch)):
+            for i, norm in enumerate(_lp_norms(grid, signed, ps)):
                 sign_vals[i].append(norm / ratios[i][0])
     return tuple(
         LPReport(

@@ -7,7 +7,6 @@ norm, so projection coefficients are plain weighted dot products.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -20,36 +19,25 @@ __all__ = [
 ]
 
 
-def _index(value, name: str) -> int:
-    """value as an int through operator.index: numpy ints pass, a float raises ValueError.
-
-    The rule of grid._as_int, which this module sits below in the import graph.
-    """
+def _as_int(value, name: str) -> int:
+    """value as an int through operator.index: numpy ints pass, a float raises ValueError."""
     try:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point rule on (0,1), computed once per n; gauss_rule hands out copies."""
-    t, w = _leg.leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights mapped affinely to (0,1).
 
     Exact for polynomials of degree <= 2n-1; weights are positive and sum
-    to 1. Deterministic for fixed n: every call returns fresh arrays with
-    the same bits.
+    to 1. Deterministic for fixed n.
     """
-    n = _index(n, "n")
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"quadrature rule needs n >= 1 nodes, got {n}")
-    x, w = _gauss_nodes(n)
-    return x.copy(), w.copy()
+    t, w = _leg.leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * w
 
 
 def legendre_table(max_degree: int, x) -> np.ndarray:
@@ -57,7 +45,7 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
 
     Returns shape (max_degree+1, len(x)); row k is the degree-k polynomial.
     """
-    max_degree = _index(max_degree, "degree")
+    max_degree = _as_int(max_degree, "degree")
     if max_degree < 0:
         raise ValueError(f"degree must be >= 0, got {max_degree}")
     x = np.atleast_1d(np.asarray(x, dtype=float))

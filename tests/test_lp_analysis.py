@@ -352,10 +352,3 @@ def test_signed_tensor_route_reads_only_the_box(rng):
     assert np.isfinite(got).all()
     assert np.array_equal(got, synthesize(_signed(analyze(f, k, degs), fam)).values)
 
-
-def test_sign_series_rejects_signs_that_do_not_cover_the_box(rng):
-    g = grid_for(2, degree=0, level=2)
-    f = g.function(rng.standard_normal(g.shape))
-    for fam in (SignFamily(((1, -1, 1),)), SignFamily(((1, -1, 1), (1, -1)))):
-        with pytest.raises(ValueError, match="signs need 2 axes"):
-            sign_series(f, fam, 3.0, (2, 2), (0, 0))
