@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import _as_int, _as_tuple
+from .grid import _as_int, _as_tuple, _as_vector
 from .quadrature import gauss_rule, interval_basis_table, legendre_table
 
 __all__ = [
@@ -112,6 +112,6 @@ def detail_dim(kappa: Sequence[int], degrees: Sequence[int]) -> int:
     The root count prod(l_j + 1) is the number of basis functions per cell,
     the detail dimension at kappa = 0.
     """
-    kappa = _as_tuple(kappa, len(kappa), "kappa")
+    kappa = _as_vector(kappa, "kappa")
     degs = _as_tuple(degrees, len(kappa), "degrees")
     return math.prod(l + 1 for l in degs) * math.prod(detail_cells(kappa))

@@ -44,6 +44,15 @@ def _as_tuple(value, d: int, name: str) -> tuple[int, ...]:
     return out
 
 
+def _as_vector(value, name: str) -> tuple[int, ...]:
+    """_as_tuple for an argument whose length sets the dimension: a scalar raises ValueError."""
+    try:
+        d = len(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {value!r}") from None
+    return _as_tuple(value, d, name)
+
+
 class Grid:
     """Tensor Gauss grid over the level-K dyadic partition of the unit cube."""
 

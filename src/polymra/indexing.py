@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .grid import _as_int, _as_tuple
+from .grid import _as_int, _as_tuple, _as_vector
 
 __all__ = [
     "DyadicCube",
@@ -73,17 +73,17 @@ def min_multiplicity(x: Sequence[float]) -> int:
 class DyadicCube:
     """Open box 2^-level * pos + 2^-level * (0,1)^d with per-axis levels.
 
-    level and pos are read by grid._as_tuple: nonnegative integers (numpy
-    ints pass, a float raises ValueError), pos one per entry of level.
+    level (grid._as_vector) and pos (grid._as_tuple, one per entry of level)
+    are nonnegative integers: numpy ints pass, a float raises ValueError.
     """
 
     level: tuple[int, ...]
     pos: tuple[int, ...]
 
     def __post_init__(self):
-        d = len(self.level)
-        object.__setattr__(self, "level", _as_tuple(self.level, d, "level"))
-        object.__setattr__(self, "pos", _as_tuple(self.pos, d, "pos"))
+        level = _as_vector(self.level, "level")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "pos", _as_tuple(self.pos, len(level), "pos"))
 
     @property
     def d(self) -> int:
@@ -104,7 +104,7 @@ class DyadicCube:
 
 def enum_box(k: Sequence[int]) -> list[tuple[int, ...]]:
     """All multi-indices kappa <= k componentwise, in lexicographic order."""
-    k = _as_tuple(k, len(k), "box corner")
+    k = _as_vector(k, "box corner")
     return list(itertools.product(*(range(x + 1) for x in k)))
 
 

@@ -14,17 +14,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, _as_int, _as_tuple, _lp_norms, lp_norm
+from .grid import Grid, GridFunction, _as_int, _as_tuple, _as_vector, _lp_norms, lp_norm
 from .indexing import enum_box
 from .projectors import (
     Decomposition,
-    _block_slices,
-    _block_values,
-    _box_slices,
-    _check_levels,
+    _analysis_tensor,
     _detail_values,
     _full_coeffs,
-    _pyramid,
+    _scaled_values,
+    _tensor_components,
     project_level,
 )
 
@@ -79,7 +77,7 @@ class SignFamily:
 
     @classmethod
     def random(cls, k: Sequence[int], rng: np.random.Generator) -> "SignFamily":
-        k = _as_tuple(k, len(k), "k")
+        k = _as_vector(k, "k")
         return cls(axis_signs=tuple(rng.choice((-1, 1), size=kj + 1) for kj in k))
 
 
@@ -112,31 +110,6 @@ def square_function(dec: Decomposition) -> GridFunction:
     """Pointwise l2 norm across blocks: sqrt(sum_kappa (detail_kappa(x))^2)."""
     parts = (g.values for _, g in detail_components(dec))
     return GridFunction(dec.grid, _root_sum_squares(dec.grid, parts))
-
-
-def _analysis_tensor(f: GridFunction, k, degrees):
-    """(tensor, k, degrees): f's analysis tensor, the checked box corner and degrees.
-
-    The tensor is projectors._full_coeffs: every block kappa <= K of f,
-    each on its _block_slices, so any box k <= K reads its blocks off it.
-    """
-    grid = f.grid
-    k = _check_levels(grid, k, "k")
-    degs = _as_tuple(degrees, grid.d, "degrees")
-    return _full_coeffs(f, degs), k, degs
-
-
-def _tensor_components(grid: Grid, full: np.ndarray, k, degrees) -> Iterator[np.ndarray]:
-    """Node values of each block kappa <= k of an analysis tensor, in enum_box order.
-
-    Each block's rows are copied out C-contiguous and evaluated by
-    projectors._block_values, as detail_components evaluates the blocks of
-    analyze, with no Decomposition in between; one component is alive at
-    a time.
-    """
-    for kappa in enum_box(k):
-        rows = np.ascontiguousarray(full[_block_slices(kappa, degrees)])
-        yield _block_values(grid, rows, kappa, degrees)
 
 
 def _norm_ratios(
@@ -187,35 +160,14 @@ def lp_equivalence(f: GridFunction, p: float, k, degrees) -> float:
     return _norm_ratios(f.grid, *_analysis_tensor(f, k, degrees), (p,))[0][1]
 
 
-def _sign_tensor(signs, k, degrees) -> np.ndarray:
-    """sigma_kappa as +-1.0 on the rows of every block kappa of the box k (_box_slices).
-
-    signs is a SignFamily or a mapping from every kappa <= k to +1 or -1.
-    """
-    out = np.empty(tuple(rows.stop for rows in _box_slices(k, degrees)))
-    for kappa in enum_box(k):
-        s = signs.sigma(kappa) if isinstance(signs, SignFamily) else signs[kappa]
+def _checked_signs(signs, k) -> dict:
+    """sigma_kappa for every kappa <= k from a SignFamily or a mapping, each +1 or -1."""
+    sigma = signs.sigma if isinstance(signs, SignFamily) else signs.__getitem__
+    out = {kappa: sigma(kappa) for kappa in enum_box(k)}
+    for kappa, s in out.items():
         if s not in (-1, 1):
             raise ValueError(f"sign for block {kappa} must be +1 or -1, got {s}")
-        out[_block_slices(kappa, degrees)] = s
     return out
-
-
-def _signed_values(grid: Grid, full: np.ndarray, k, degrees, signs) -> np.ndarray:
-    """Node values of sum_(kappa <= k) sigma_kappa E_kappa f from f's analysis tensor.
-
-    full is projectors._full_coeffs of f. Its box rows, times their signs,
-    go into a zero tensor, and one synthesis pyramid evaluates it. The rows
-    outside the box stay +0.0 rather than being multiplied by 0, so nothing
-    there, not even inf or nan, reaches the values. Multiplying by +-1 and
-    writing into zeros are exact, so the values equal those of synthesize
-    on the signed blocks; at most the sign of a zero differs, which no norm
-    sees.
-    """
-    box = _box_slices(k, degrees)
-    signed = np.zeros(full.shape)
-    np.multiply(full[box], _sign_tensor(signs, k, degrees), out=signed[box])
-    return _pyramid(grid, signed, degrees)
 
 
 def sign_series(f: GridFunction, signs, p: float, k, degrees) -> float:
@@ -226,7 +178,8 @@ def sign_series(f: GridFunction, signs, p: float, k, degrees) -> float:
     hypotheses but computed all the same.
     """
     p = _check_p_open(p)
-    values = _signed_values(f.grid, *_analysis_tensor(f, k, degrees), signs)
+    full, k, degs = _analysis_tensor(f, k, degrees)
+    values = _scaled_values(f.grid, full, k, degs, _checked_signs(signs, k))
     return lp_norm(GridFunction(f.grid, values), p)
 
 
@@ -331,7 +284,7 @@ def lp_report(
     Every p in ps (each 1 < p < infinity) is measured on the same ensemble:
     per trial one draw, one analysis tensor and one pass over its blocks
     (_norm_ratios); per sign family one signed copy of that tensor and one
-    synthesis pyramid (_signed_values). Each function has one |g|, and only
+    synthesis pyramid (projectors._scaled_values). Each function has one |g|, and only
     the quadrature norms are taken per p, so a sweep over m exponents costs
     one ensemble plus m times the norms. Reports come in the order of ps.
     """
@@ -361,8 +314,8 @@ def lp_report(
             square_vals[i].append(square)
             pstar_vals[i].append(pstar)
         for _ in range(sign_trials):
-            fam = SignFamily.random(k, rng)
-            signed = _signed_values(grid, full, k, degs, fam)
+            signs = _checked_signs(SignFamily.random(k, rng), k)
+            signed = _scaled_values(grid, full, k, degs, signs)
             for i, norm in enumerate(_lp_norms(grid, signed, ps)):
                 sign_vals[i].append(norm / ratios[i][0])
     return tuple(

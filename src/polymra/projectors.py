@@ -307,20 +307,33 @@ def _insert_block(full: np.ndarray, block: DetailCoeffs) -> None:
         block.coeffs, block.cells_shape, roots)
 
 
+def _analysis_tensor(f: GridFunction, k, degrees):
+    """(_full_coeffs of f, the checked box corner k, the checked degrees)."""
+    k = _check_levels(f.grid, k, "k")
+    degs = _as_tuple(degrees, f.grid.d, "degrees")
+    return _full_coeffs(f, degs), k, degs
+
+
+def _tensor_components(grid: Grid, full: np.ndarray, k, degrees):
+    """Node values of each block kappa <= k of an analysis tensor, in enum_box order.
+
+    Each block's rows, copied out C-contiguous, take d axis products
+    (_block_values) and no pyramid; one component is alive at a time.
+    """
+    for kappa in enum_box(k):
+        rows = np.ascontiguousarray(full[_block_slices(kappa, degrees)])
+        yield _block_values(grid, rows, kappa, degrees)
+
+
 def analyze(f: GridFunction, k, degrees) -> Decomposition:
     """Orthonormal detail coefficients of f on every block kappa <= k, in enum_box order.
 
     k is the box corner: an int for every axis or one level per axis.
     """
-    grid = f.grid
-    k = _check_levels(grid, k, "k")
-    degs = _as_tuple(degrees, grid.d, "degrees")
-    full = _full_coeffs(f, degs)
-    blocks = {}
-    for kappa in enum_box(k):
-        blocks[kappa] = DetailCoeffs(kappa=kappa, degrees=degs,
-                                     coeffs=_extract_block(full, kappa, degs))
-    return Decomposition(grid=grid, degrees=degs, blocks=blocks)
+    full, k, degs = _analysis_tensor(f, k, degrees)
+    blocks = {kappa: DetailCoeffs(kappa, degs, _extract_block(full, kappa, degs))
+              for kappa in enum_box(k)}
+    return Decomposition(grid=f.grid, degrees=degs, blocks=blocks)
 
 
 def _pyramid(grid: Grid, full: np.ndarray, degrees) -> np.ndarray:
@@ -340,11 +353,28 @@ def synthesize(dec: Decomposition) -> GridFunction:
     return GridFunction(grid, _pyramid(grid, full, dec.degrees))
 
 
+def _scaled_values(grid: Grid, full: np.ndarray, k, degrees, scalars) -> np.ndarray:
+    """Node values of sum_(kappa <= k) c_kappa E_kappa f from f's analysis tensor full.
+
+    scalars maps each kappa <= k, and no other, to c_kappa.  One factor
+    tensor scales the box rows (_box_slices) into a zero tensor in one
+    multiply, so rows outside the box stay +0.0 whatever they hold, and one
+    pyramid evaluates it: the products a DetailCoeffs array scaled in place
+    holds, so the values are those of synthesize on the scaled blocks up to
+    the sign of a zero.  Cost: one factor tensor, one multiply, one pyramid.
+    """
+    box = _box_slices(k, degrees)
+    factors = np.empty(tuple(rows.stop for rows in box))
+    for kappa, c in scalars.items():
+        factors[_block_slices(kappa, degrees)] = c
+    scaled = np.zeros(full.shape)
+    np.multiply(full[box], factors, out=scaled[box])
+    return _pyramid(grid, scaled, degrees)
+
+
 def parseval_gap(f: GridFunction, k, degrees) -> float:
     """|squared L2 norm of the level-k projection minus the sum of block energies|."""
-    grid = f.grid
-    k = _check_levels(grid, k, "k")
-    degs = _as_tuple(degrees, grid.d, "degrees")
-    lhs = project_level(f, k, degs).l2_norm() ** 2
-    rhs = sum(b.l2_norm() ** 2 for b in analyze(f, k, degs).blocks.values())
+    dec = analyze(f, k, degrees)
+    lhs = project_level(f, k, degrees).l2_norm() ** 2
+    rhs = sum(b.l2_norm() ** 2 for b in dec.blocks.values())
     return abs(lhs - rhs)

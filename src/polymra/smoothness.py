@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridFunction, _as_int, _as_tuple, box_lp_norm, grid_for, lp_norm
-from .lp_analysis import detail_components
-from .projectors import analyze, synthesize
+from .indexing import enum_box
+from .projectors import (_analysis_tensor, _extract_block, _full_coeffs, _scaled_values,
+                         _tensor_components)
 
 __all__ = [
     "SmoothnessParams",
@@ -473,24 +474,23 @@ def decay_check(f: GridFunction, params: SmoothnessParams, q: float) -> dict:
     for a function of unit class seminorm these stay uniformly bounded.
     Every block is evaluated on the grid and its norm taken by quadrature,
     at q = 2 too: this is the measurement, independent of the coefficient
-    norms, against which the tests check synthesize_extremal.
+    norms, against which the tests check synthesize_extremal.  Cost: one
+    analysis tensor of f, then one evaluation per block off it.
     """
     grid = f.grid
     if len(params.alpha) != grid.d:
         raise ValueError(f"params dimension {len(params.alpha)} != grid d={grid.d}")
     _check_q(q)
-    degrees = tuple(lj - 1 for lj in params.l)
-    dec = analyze(f, grid.level, degrees)
+    full, box, degrees = _analysis_tensor(f, grid.level, tuple(lj - 1 for lj in params.l))
     shift = _inverse_gap(params.p, q)
     out = {}
-    for kappa, gk in detail_components(dec):
-        if all(k == 0 for k in kappa):
-            continue
-        expo = sum(k * (a - shift) for k, a in zip(kappa, params.alpha))
-        # each block's values are fresh, so its norm may overwrite them
-        if q != 2.0:  # the square at q = 2 drops the sign bit for bit
-            np.abs(gk.values, out=gk.values)
-        out[kappa] = box_lp_norm(grid, gk.values, q) / 2.0 ** -expo
+    for kappa, values in zip(enum_box(box), _tensor_components(grid, full, box, degrees)):
+        if any(kappa):
+            expo = sum(k * (a - shift) for k, a in zip(kappa, params.alpha))
+            # each block's values are fresh, so its norm may overwrite them;
+            # the square at q = 2 drops the sign bit for bit
+            magnitudes = values if q == 2.0 else np.abs(values, out=values)
+            out[kappa] = box_lp_norm(grid, magnitudes, q) / 2.0 ** -expo
     return out
 
 
@@ -501,29 +501,29 @@ def synthesize_extremal(params: SmoothnessParams, level: int, seed) -> GridFunct
     its L_p norm hits the decay profile exactly; block orthogonality keeps
     the profile intact in the sum.  The hard input for width experiments.
 
-    Cost: one analysis of the noise and one synthesis of the rescaled
-    coefficients, both linear in the grid.  At p = 2 a block's norm is the
-    Euclidean norm of its orthonormal coefficients (the Gauss rule of
-    grid_for integrates products of two basis polynomials exactly); at any
-    other p each block is evaluated on the grid once for its quadrature norm.
+    Cost: one analysis tensor of the noise and one synthesis pyramid of its
+    rescaled copy (projectors._scaled_values), both linear in the grid.  At
+    p = 2 a block's norm is the Euclidean norm of its orthonormal
+    coefficients, read off the tensor (the Gauss rule of grid_for integrates
+    products of two basis polynomials exactly); at any other p each block is
+    evaluated on the grid once for its quadrature norm.
     """
     seed = _as_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    d = len(params.alpha)
     degrees = tuple(lj - 1 for lj in params.l)
-    grid = grid_for(d, degree=degrees, level=level)
+    grid = grid_for(len(degrees), degree=degrees, level=level)
     rng = np.random.default_rng(seed)
-    noise = GridFunction(grid, rng.standard_normal(grid.shape))
-    dec = analyze(noise, level, degrees)
+    full = _full_coeffs(GridFunction(grid, rng.standard_normal(grid.shape)), degrees)
+    box = (grid.level,) * grid.d
     if params.p == 2.0:
-        norms = ((kappa, blk.l2_norm()) for kappa, blk in dec.blocks.items())
+        norms = (np.linalg.norm(_extract_block(full, kappa, degrees)) for kappa in enum_box(box))
     else:
-        norms = ((kappa, lp_norm(gk, params.p)) for kappa, gk in detail_components(dec))
-    for kappa, nrm in norms:
+        norms = (lp_norm(GridFunction(grid, g), params.p)
+                 for g in _tensor_components(grid, full, box, degrees))
+    scalars = {}
+    for kappa, nrm in zip(enum_box(box), norms):
         if nrm == 0.0:
             raise ValueError(f"degenerate random draw: block {kappa} vanished")
-        target = 2.0 ** -sum(k * a for k, a in zip(kappa, params.alpha))
-        # DetailCoeffs is frozen but its array is not; dec is private to this call
-        dec.blocks[kappa].coeffs[...] *= target / nrm
-    return synthesize(dec)
+        scalars[kappa] = 2.0 ** -sum(k * a for k, a in zip(kappa, params.alpha)) / nrm
+    return GridFunction(grid, _scaled_values(grid, full, box, degrees, scalars))

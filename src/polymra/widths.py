@@ -15,8 +15,8 @@ integer lattice over the box enum_cross scans at the largest radius, with
 no grid.  Other exponents are measured on a grid, within its resolution.
 
 Cross membership has one rule here, the exact integer keys of indexing
-(_cross_keys, _inside), for the lattice and for the blocks of an analyzed
-function alike, and the cross dimension one formula (_cross_dims).
+(_cross_keys, _inside), for the lattice and for the blocks of an analysis
+tensor alike, and the cross dimension one formula (_cross_dims).
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, _as_int, _as_tuple, lp_norm
+from .grid import Grid, GridFunction, _as_int, _as_tuple, lp_norm
 from .indexing import (
+    enum_box,
     _cross_box,
     _cross_keys,
     _cross_masks,
@@ -42,7 +43,7 @@ from .indexing import (
 )
 # unused: perfbench/test_perfbench.py reads this binding (ROADMAP direction 5)
 from .indexing import cross_contains  # noqa: F401
-from .projectors import Decomposition, analyze, synthesize
+from .projectors import _block_slices, _extract_block, _full_coeffs, _pyramid
 from .smoothness import SmoothnessParams, _check_q, _inverse_gap, synthesize_extremal
 
 __all__ = [
@@ -89,8 +90,7 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
     resolves.  r is real (an integer or a dyadic number such as 2.5) and q
     is checked before any work (q >= 1, inf allowed).  Both the dropped
     blocks (_truncate) and the dimension (_cross_dims) come from the exact
-    cross keys.  Cost: one analysis of f, then the work of _truncate on its
-    coefficients.
+    cross keys.  Cost: one analysis tensor of f, then the work of _truncate.
     """
     grid = f.grid
     beta = tuple(float(b) for b in beta)
@@ -102,30 +102,38 @@ def truncation_error(f: GridFunction, beta, r, q: float, degrees) -> tuple[float
     degrees = _as_tuple(degrees, grid.d, "degrees")
     _, lattice, masks = _cross_masks(beta, (r,))
     ((_, n),) = _cross_dims(math.prod(l + 1 for l in degrees), lattice, masks)
-    return _truncate(analyze(f, grid.level, degrees), beta, r, q), n
+    return _truncate(grid, _full_coeffs(f, degrees), degrees, beta, r, q), n
 
 
-def _truncate(dec: Decomposition, beta: tuple[float, ...], r, q: float) -> float:
-    """L_q error of dropping the blocks of an analyzed function outside the cross.
+def _truncate(grid: Grid, full: np.ndarray, degrees, beta, r, q: float) -> float:
+    """L_q error of dropping the blocks outside the cross from f's analysis tensor full.
 
-    dec holds the full level box in enum_box order, as analyze fills it,
-    which is the row order of _cross_keys over that box: one _inside mask
-    picks the dropped blocks.  At q = 2 the error is the root sum of their
-    coefficient energies (Parseval); at any other q they are synthesized
-    once and their sum measured by quadrature.
+    The blocks of the level box in enum_box order are the rows of
+    _cross_keys over that box, so one _inside mask picks the dropped blocks.
+    At q = 2 the error is the root sum of their coefficient energies
+    (Parseval), each read off the tensor by projectors._extract_block; at
+    any other q their rows are added into a zero tensor, as _insert_block
+    adds blocks, and one synthesis pyramid evaluates it.
     """
-    keys, scale = _cross_keys((dec.grid.level,) * dec.grid.d, beta)
-    dropped = dict(itertools.compress(dec.blocks.items(), ~_inside(keys, scale, r)))
+    box = (grid.level,) * grid.d
+    keys, scale = _cross_keys(box, beta)
+    dropped = list(itertools.compress(enum_box(box), ~_inside(keys, scale, r)))
     if not dropped:
         return 0.0
     if q == 2.0:
-        return math.sqrt(sum(blk.l2_norm() ** 2 for blk in dropped.values()))
-    tail = synthesize(Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=dropped))
-    return lp_norm(tail, q)
+        return math.sqrt(sum(np.linalg.norm(_extract_block(full, kappa, degrees)) ** 2
+                             for kappa in dropped))
+    tail = np.zeros(full.shape)
+    for kappa in dropped:
+        rows = _block_slices(kappa, degrees)
+        tail[rows] += full[rows]
+    return lp_norm(GridFunction(grid, _pyramid(grid, tail, degrees)), q)
 
 
 def tail_model(params: SmoothnessParams, q: float, r) -> float:
     """Model tail size at cross radius r: a power of 2^-r times a power of r."""
+    if not 1 <= r < math.inf:
+        raise ValueError(f"cross radius must be finite and >= 1, got {r}")
     alpha = params.alpha
     p = params.p
     c = min_multiplicity(alpha)
@@ -407,29 +415,29 @@ def _grid_errors(config: WidthExperimentConfig, beta):
     """(r, inside) -> mean L_q error over the trials, measured on the grid.
 
     Each trial's profile is synthesized at the config level and analyzed
-    once, here; every radius truncates the same coefficients (_truncate).
+    into one tensor, here; every radius truncates the same tensors (_truncate).
     """
     params = config.params
     degrees = tuple(l - 1 for l in params.l)
-    profiles = [
-        analyze(synthesize_extremal(params, config.level, config.seed + t), config.level, degrees)
-        for t in range(config.trials)
-    ]
-    return lambda r, inside: float(np.mean([_truncate(dec, beta, r, config.q) for dec in profiles]))
+    tensors = [(f.grid, _full_coeffs(f, degrees)) for f in (
+        synthesize_extremal(params, config.level, config.seed + t) for t in range(config.trials))]
+    return lambda r, inside: float(np.mean(
+        [_truncate(grid, full, degrees, beta, r, config.q) for grid, full in tensors]))
 
 
 def rate_fit(points) -> tuple[float, float]:
     """Least-squares exponents of error ~ n^slope (log n)^coef from (n, error) pairs.
 
-    Needs at least 4 points with n strictly increasing and above 1 and with
-    positive errors; returns the slope on log n and the coefficient on
-    log log n.
+    Needs at least 4 finite points with n strictly increasing and above 1
+    and with positive errors; returns the slope on log n and the
+    coefficient on log log n.
     """
     pts = [(float(n), float(e)) for n, e in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points, got {len(pts)}")
-    ns = np.array([n for n, _ in pts])
-    es = np.array([e for _, e in pts])
+    if not np.isfinite(pts).all():
+        raise ValueError(f"points must be finite, got {pts}")
+    ns, es = np.array(pts).T
     if np.any(ns <= 1.0) or np.any(np.diff(ns) <= 0.0):
         raise ValueError("sample sizes must be strictly increasing and above 1")
     if np.any(es <= 0.0):

@@ -14,9 +14,9 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from polymra.basis import detail_dim
-from polymra.grid import GridFunction, lp_norm
+from polymra.grid import GridFunction, box_lp_norm, grid_for, lp_norm
 from polymra.indexing import cross_contains, enum_cross, enum_shell, minimal_slots
-from polymra.lp_analysis import SignFamily
+from polymra.lp_analysis import SignFamily, detail_components
 from polymra.projectors import Decomposition, DetailCoeffs, analyze, project_level, synthesize
 from polymra.quadrature import interval_basis_table
 
@@ -447,6 +447,42 @@ def truncation_error_per_block(f, beta, r, q, degrees):
         return math.sqrt(sum(blk.l2_norm() ** 2 for blk in dropped.values())), n
     tail = synthesize(Decomposition(grid=dec.grid, degrees=dec.degrees, blocks=dropped))
     return lp_norm(tail, q), n
+
+
+def synthesize_extremal_per_block(params, level, seed):
+    """smoothness.synthesize_extremal through a Decomposition, one block at a time.
+
+    The noise is analyzed into DetailCoeffs blocks, each block's norm is
+    taken from its coefficients (p = 2) or its own evaluation (any other p),
+    its array is scaled in place and the blocks are synthesized; the tensor
+    route makes the same products in one multiply, so the two agree bit for
+    bit.
+    """
+    degrees = tuple(lj - 1 for lj in params.l)
+    grid = grid_for(len(params.alpha), degree=degrees, level=level)
+    rng = np.random.default_rng(seed)
+    dec = analyze(GridFunction(grid, rng.standard_normal(grid.shape)), level, degrees)
+    if params.p == 2.0:
+        norms = ((kappa, blk.l2_norm()) for kappa, blk in dec.blocks.items())
+    else:
+        norms = ((kappa, lp_norm(gk, params.p)) for kappa, gk in detail_components(dec))
+    for kappa, nrm in norms:
+        target = 2.0 ** -sum(k * a for k, a in zip(kappa, params.alpha))
+        dec.blocks[kappa].coeffs[...] *= target / nrm
+    return synthesize(dec)
+
+
+def decay_check_per_block(f, params, q):
+    """smoothness.decay_check through a Decomposition: each DetailCoeffs block evaluated."""
+    grid = f.grid
+    dec = analyze(f, grid.level, tuple(lj - 1 for lj in params.l))
+    shift = max(0.0, 1.0 / params.p - 1.0 / q)
+    out = {}
+    for kappa, gk in detail_components(dec):
+        if any(kappa):
+            expo = sum(k * (a - shift) for k, a in zip(kappa, params.alpha))
+            out[kappa] = box_lp_norm(grid, np.abs(gk.values), q) / 2.0 ** -expo
+    return out
 
 
 def budget_allocation_brute(plan, beta, params):

@@ -3,7 +3,9 @@
 Each entry point below reads one integer argument.  A float raises
 ValueError naming the argument, never a silent truncation or a late
 TypeError; a negative value raises where the rule needs >= 0; a numpy
-int gives the same result as the plain int.
+int gives the same result as the plain int.  A per-axis vector whose
+length sets the dimension is read by grid._as_vector, and a scalar in its
+place raises ValueError naming the argument too.
 """
 
 import re
@@ -115,6 +117,22 @@ def test_a_negative_value_raises_naming_the_argument(call, good, name):
 @_cases(CASES)
 def test_a_numpy_int_gives_the_plain_int_result(call, good, name):
     np.testing.assert_equal(call(np.int64(good)), call(good))
+
+
+# (id, call with the value, the name in its messages): the value is a whole vector
+VECTORS = [
+    ("enum_box-corner", lambda v: enum_box(v), "box corner"),
+    ("detail_dim-kappa", lambda v: detail_dim(v, 1), "kappa"),
+    ("DyadicCube-level", lambda v: DyadicCube(v, 0), "level"),
+    ("SignFamily.random-k", lambda v: SignFamily.random(v, np.random.default_rng(0)), "k"),
+]
+
+
+@pytest.mark.parametrize("scalar", [3, np.int64(3), 2.5])
+@pytest.mark.parametrize("call, name", [c[1:] for c in VECTORS], ids=[c[0] for c in VECTORS])
+def test_a_scalar_where_a_vector_belongs_raises_naming_the_argument(call, name, scalar):
+    with pytest.raises(ValueError, match=re.escape(name) + " must be a sequence of integers"):
+        call(scalar)
 
 
 def test_per_axis_vectors_name_the_bound():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import polymra.lp_analysis
+import polymra.projectors
 from polymra import Decomposition, DetailCoeffs, analyze, grid_for, lp_norm, synthesize
 from polymra.lp_analysis import (
     SignFamily,
@@ -16,9 +17,14 @@ from polymra.lp_analysis import (
     sign_series,
     square_function,
 )
-from polymra.lp_analysis import _signed_values, _tensor_components, detail_components
-from polymra.projectors import _full_coeffs, project_level
+from polymra.lp_analysis import _checked_signs, detail_components
+from polymra.projectors import _full_coeffs, _scaled_values, _tensor_components, project_level
 from oracles import _signed, rademacher_eval, rademacher_sum_lp_brute
+
+
+def _signed_values(grid, full, k, degrees, signs):
+    """The sign series from an analysis tensor, as sign_series and lp_report take it."""
+    return _scaled_values(grid, full, k, degrees, _checked_signs(signs, k))
 
 
 def test_square_function_single_block(rng):
@@ -288,8 +294,8 @@ def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
     # one analysis tensor per trial, one pyramid per sign family, whatever the p
     counts = {"_full_coeffs": 0, "_pyramid": 0}
 
-    def counted(name):
-        fn = getattr(polymra.lp_analysis, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             counts[name] += 1
@@ -297,8 +303,9 @@ def test_lp_report_analyzes_and_synthesizes_once_for_all_p(monkeypatch):
 
         return wrapped
 
-    for name in counts:
-        monkeypatch.setattr(polymra.lp_analysis, name, counted(name))
+    # the sign pyramids run inside projectors._scaled_values
+    for module, name in ((polymra.lp_analysis, "_full_coeffs"), (polymra.projectors, "_pyramid")):
+        monkeypatch.setattr(module, name, counted(module, name))
     g = grid_for(1, degree=1, level=4)
     lp_report(g, (4,), (1,), (1.5, 3.0, 4.0), trials=2, sign_trials=3, seed=5)
     assert counts == {"_full_coeffs": 2, "_pyramid": 2 * 3}

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import polymra.lp_analysis
 import polymra.projectors
 from polymra import (
     Decomposition,
@@ -135,12 +134,11 @@ def test_detail_components_match_the_one_block_pyramid(rng, degs, K):
 
 
 def test_detail_components_never_synthesize(rng, monkeypatch):
-    # synthesize and the sign series both evaluate through _pyramid
+    # synthesize and the sign series both evaluate through projectors._pyramid
     calls = []
-    for module in (polymra.projectors, polymra.lp_analysis):
-        original = module._pyramid
-        monkeypatch.setattr(module, "_pyramid",
-                            lambda *args, original=original: calls.append(1) or original(*args))
+    original = polymra.projectors._pyramid
+    monkeypatch.setattr(polymra.projectors, "_pyramid",
+                        lambda *args: calls.append(1) or original(*args))
     g = grid_for(2, degree=1, level=3)
     f = g.function(rng.standard_normal(g.shape))
     dec = analyze(f, (3, 3), (1, 1))

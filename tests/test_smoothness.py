@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polymra.lp_analysis
 import polymra.projectors
 import polymra.smoothness
 from polymra.grid import GridFunction, grid_for, lp_norm
@@ -28,10 +27,12 @@ from polymra.smoothness import (
 )
 
 from oracles import (
+    decay_check_per_block,
     fill_norms_per_step,
     mixed_difference_brute,
     modulus_table_per_step,
     step_energies_dense_gram,
+    synthesize_extremal_per_block,
 )
 
 
@@ -602,8 +603,8 @@ def test_component_consumers_hold_a_few_blocks_at_a_time():
 
 def test_profile_is_built_in_coefficient_space(monkeypatch):
     # at p = 2 each block's norm is its coefficient norm, so no block is
-    # evaluated on the grid and one synthesis builds the whole profile
-    counts = {"_detail_values": 0, "synthesize": 0}
+    # evaluated on the grid and one synthesis pyramid builds the whole profile
+    counts = {"_block_values": 0, "_pyramid": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -612,16 +613,30 @@ def test_profile_is_built_in_coefficient_space(monkeypatch):
 
         return wrapped
 
-    for mod in (polymra.projectors, polymra.lp_analysis):
-        monkeypatch.setattr(mod, "_detail_values", counted("_detail_values", mod._detail_values))
-    monkeypatch.setattr(polymra.smoothness, "synthesize", counted("synthesize", synthesize))
+    # every block evaluation and every synthesis runs through these two
+    for name in counts:
+        monkeypatch.setattr(polymra.projectors, name,
+                            counted(name, getattr(polymra.projectors, name)))
     params = SmoothnessParams((0.5, 1.5, 2.5), p=2.0)
     assert tuple(lj - 1 for lj in params.l) == (0, 1, 2)
     f = synthesize_extremal(params, 3, seed=4)
-    assert counts == {"_detail_values": 0, "synthesize": 1}
+    assert counts == {"_block_values": 0, "_pyramid": 1}
     monkeypatch.undo()
     # the quadrature norm of every block hits the profile
     dec = analyze(f, (3, 3, 3), (0, 1, 2))
     for kappa, gk in detail_components(dec):
         want = 2.0 ** -sum(k * a for k, a in zip(kappa, params.alpha))
         assert lp_norm(gk, 2.0) == pytest.approx(want, rel=1e-12), kappa
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("alpha, level", [((2.5,), 5), ((1.5, 2.5), 4), ((1.0, 1.5, 2.5), 3)],
+                         ids=["d1", "d2", "d3"])
+def test_tensor_route_matches_the_decomposition_route(alpha, level, p, q):
+    # degrees (2,), (1, 2) and (1, 1, 2): from d = 2 on, two axes of degree
+    # >= 1 make the tensor rows and the DetailCoeffs arrays order differently
+    params = SmoothnessParams(alpha, p=p)
+    f = synthesize_extremal(params, level, seed=3)
+    assert np.array_equal(f.values, synthesize_extremal_per_block(params, level, 3).values)
+    assert decay_check(f, params, q) == decay_check_per_block(f, params, q)

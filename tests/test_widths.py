@@ -14,7 +14,7 @@ import polymra.widths
 from polymra.basis import detail_dim
 from polymra.grid import GridFunction, grid_for
 from polymra.indexing import enum_cross, minimal_slots
-from polymra.projectors import Decomposition, analyze, synthesize
+from polymra.projectors import Decomposition, _full_coeffs, analyze, synthesize
 from polymra.smoothness import SmoothnessParams, besov_seminorm, synthesize_extremal
 from polymra.widths import (
     BudgetPlan,
@@ -159,7 +159,9 @@ class TestTruncationError:
         # the key of (2, 1) equals the radius 3: 2 lo_0 + lo_1 = 3 exactly
         ((1.0, math.nextafter(1.0, 2.0)), (3,), (1, 0), 3),
         ((1.0, 1.5, 0.75), (2, 2.5), (0, 1, 0), 3),
-    ], ids=["d1", "d2-float-tie", "d2-float-sum-tie", "d2-key-tie", "d3"])
+        # two axes of degree >= 1: tensor rows and DetailCoeffs order differently
+        ((1.0, 1.5), (2, 3), (1, 2), 3),
+    ], ids=["d1", "d2-float-tie", "d2-float-sum-tie", "d2-key-tie", "d3", "d2-two-degrees"])
     def test_matches_the_per_block_reference(self, beta, radii, degrees, level, q):
         grid = grid_for(len(beta), degree=degrees, level=level)
         f = GridFunction(grid, np.random.default_rng(len(beta)).standard_normal(grid.shape))
@@ -191,6 +193,12 @@ class TestTailModel:
                   / tail_model(sp, 2.0, r) for r in range(1, 6)]
         assert ratios[0] == pytest.approx(0.0282, abs=0.005)
         assert all(0.0 < x <= 0.05 for x in ratios)
+
+    @pytest.mark.parametrize("r", [-1, 0, 0.5, math.inf, math.nan])
+    def test_radius_outside_one_to_infinity_rejected(self, r):
+        # r = -1 used to give a complex number, r ** (1/2) of a negative float
+        with pytest.raises(ValueError, match="cross radius must be finite and >= 1"):
+            tail_model(params2(theta=math.inf), 2.0, r)
 
     def test_zero_function_ratio(self):
         grid = grid_for(1, degree=1, level=4)
@@ -370,16 +378,16 @@ class TestWidthExperiment:
         assert width_experiment(cfg) == width_experiment(cfg)
 
     def test_each_profile_is_analyzed_once(self, monkeypatch):
-        # one analysis inside synthesize_extremal and one of the profile,
-        # not one per radius; every radius truncates the same coefficients
+        # one analysis tensor inside synthesize_extremal and one of the
+        # profile, not one per radius; every radius truncates the same tensor
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return analyze(*args, **kwargs)
+            return _full_coeffs(*args, **kwargs)
 
-        monkeypatch.setattr(polymra.smoothness, "analyze", counted)
-        monkeypatch.setattr(polymra.widths, "analyze", counted)
+        monkeypatch.setattr(polymra.smoothness, "_full_coeffs", counted)
+        monkeypatch.setattr(polymra.widths, "_full_coeffs", counted)
         cfg = WidthExperimentConfig(
             params=params2(), q=3.0, level=4, r_values=(3, 4, 5, 6, 7, 8), trials=1, seed=4
         )
@@ -461,8 +469,8 @@ class TestLatticeRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("the p = q = 2 route must not reach the grid")
 
-        for name in ("synthesize_extremal", "analyze", "synthesize", "_grid_errors",
-                     "_truncate", "cross_contains"):
+        for name in ("synthesize_extremal", "_full_coeffs", "_extract_block", "_pyramid",
+                     "_grid_errors", "_truncate", "cross_contains"):
             monkeypatch.setattr(polymra.widths, name, refuse)
         params = params2(alpha=(1.0,) * 3)
         runs = [
@@ -516,3 +524,12 @@ class TestRateFit:
             rate_fit([(2.0, 1.0), (4.0, 0.5), (8.0, 0.0), (16.0, 0.1)])
         with pytest.raises(ValueError, match="above 1"):
             rate_fit([(1.0, 1.0), (4.0, 0.5), (8.0, 0.25), (16.0, 0.1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_points_rejected(self, bad, slot):
+        # a NaN error passes every <= 0 test, and a NaN n used to reach LAPACK
+        pts = [[2.0, 1.0], [4.0, 0.5], [8.0, 0.25], [16.0, 0.1]]
+        pts[2][slot] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            rate_fit(pts)
